@@ -1,9 +1,10 @@
 (* Bit-parallel batch kernel: 63 testbench lanes per machine word.
 
-   Same compilation scheme as [Simulator] — dense net renumbering, CSR
-   fan-out, per-level dirty buckets drained in ascending level order —
-   but the per-net state is a pair of bit-plane words instead of one
-   code byte: bit [l] of plane 0 / plane 1 holds bit 0 / bit 1 of lane
+   Built on the same [Plan] as [Simulator] — dense net numbering, CSR
+   fan-out, per-level dirty buckets drained in ascending level order,
+   checkpoint tables — but the per-net state is a pair of bit-plane
+   words instead of one code byte: bit [l] of plane 0 / plane 1 holds
+   bit 0 / bit 1 of lane
    [l]'s 2-bit code (Zero=00, One=01(+0), X=10, Z=11 in plane order
    (p1,p0)). A node evaluation is then a handful of word-wise bitwise
    operations covering every lane at once:
@@ -40,27 +41,19 @@ module Prim = Jhdl_circuit.Prim
 module Wire = Jhdl_circuit.Wire
 module Cell = Jhdl_circuit.Cell
 module Design = Jhdl_circuit.Design
-module Levelize = Jhdl_circuit.Levelize
 
-exception Combinational_cycle of string list
+exception Combinational_cycle = Plan.Combinational_cycle
 
 let max_lanes = 63
 
 (* ------------------------------------------------------------------ *)
-(* Plane store: two words per dense net, CSR fan-out, level buckets.   *)
+(* Plane store: two words per dense net, plus the shared plan.         *)
 
 type store = {
   p0 : int array; (* plane 0 (code bit 0) per dense net *)
   p1 : int array; (* plane 1 (code bit 1) per dense net *)
   mask : int; (* low [lanes] bits set *)
-  row : int array; (* CSR offsets, length n_nets + 1 *)
-  col : int array; (* consumer node ranks *)
-  level_of : int array; (* per rank *)
-  dirty : Bytes.t; (* per-rank pending flag *)
-  level_pending : int array; (* dirty count per level *)
-  mutable pending_total : int;
-  mutable stat_evals : int; (* word-wise node evaluations *)
-  mutable stat_changes : int; (* plane writes that stuck *)
+  plan : Plan.t;
 }
 
 (* mux/product scratch shared by every closure of one sim; results land
@@ -71,14 +64,6 @@ type scratch = {
   prod : int array; (* 2^k address products, k <= 6 *)
 }
 
-let mark st rank =
-  if Bytes.unsafe_get st.dirty rank = '\000' then begin
-    Bytes.unsafe_set st.dirty rank '\001';
-    let lv = Array.unsafe_get st.level_of rank in
-    st.level_pending.(lv) <- st.level_pending.(lv) + 1;
-    st.pending_total <- st.pending_total + 1
-  end
-
 (* change-tracked plane write: any changed lane marks the net's CSR
    consumers dirty (re-evaluating unchanged lanes is idempotent) *)
 let write st idx n0 n1 =
@@ -87,10 +72,7 @@ let write st idx n0 n1 =
   then begin
     Array.unsafe_set st.p0 idx n0;
     Array.unsafe_set st.p1 idx n1;
-    st.stat_changes <- st.stat_changes + 1;
-    for k = st.row.(idx) to st.row.(idx + 1) - 1 do
-      mark st st.col.(k)
-    done
+    Plan.changed st.plan idx
   end
 
 (* word-wise Bit.mux: per lane [a] when sel=0, [b] when sel=1, else X
@@ -216,16 +198,13 @@ type force_target = {
 
 type t = {
   sim_design : Design.t;
-  net_idx : (int, int) Hashtbl.t; (* net_id -> dense index *)
   st : store;
   sc : scratch;
   n_lanes : int;
   eval : (unit -> unit) array; (* compiled per-node evaluators, by rank *)
-  level_lo : int array; (* first rank of each level *)
-  depth : int;
   seq_all : snode array;
   seq_clocked : snode array;
-  seq_by_path : (string, snode) Hashtbl.t;
+  seq_snap : snode array; (* the plan's checkpoint table, entry by entry *)
   in_targets : (string, force_target) Hashtbl.t;
   out_ports : (string * int array) list; (* declaration order *)
   mutable cycles : int;
@@ -241,42 +220,13 @@ let observe_settle b words =
   | Some h -> Jhdl_metrics.Metrics.observe h words
 
 let propagate_full b =
-  let eval = b.eval in
-  for r = 0 to Array.length eval - 1 do
-    (Array.unsafe_get eval r) ()
-  done;
-  b.st.stat_evals <- b.st.stat_evals + Array.length eval;
-  Bytes.fill b.st.dirty 0 (Bytes.length b.st.dirty) '\000';
-  Array.fill b.st.level_pending 0 (Array.length b.st.level_pending) 0;
-  b.st.pending_total <- 0;
-  observe_settle b (Array.length eval)
+  Plan.full_pass b.st.plan b.eval;
+  observe_settle b (Array.length b.eval)
 
-(* drain dirty levels in ascending order: combinational edges strictly
-   increase level, so one sweep reaches the all-lane fixpoint *)
+(* one drain of the plan's worklist reaches the all-lane fixpoint *)
 let propagate b =
-  let st = b.st in
-  if st.pending_total > 0 then begin
-    let before = st.stat_evals in
-    for lv = 0 to b.depth do
-      let cnt = st.level_pending.(lv) in
-      if cnt > 0 then begin
-        st.level_pending.(lv) <- 0;
-        st.pending_total <- st.pending_total - cnt;
-        st.stat_evals <- st.stat_evals + cnt;
-        let left = ref cnt in
-        let r = ref b.level_lo.(lv) in
-        while !left > 0 do
-          if Bytes.unsafe_get st.dirty !r <> '\000' then begin
-            Bytes.unsafe_set st.dirty !r '\000';
-            decr left;
-            (Array.unsafe_get b.eval !r) ()
-          end;
-          incr r
-        done
-      end
-    done;
-    observe_settle b (st.stat_evals - before)
-  end
+  let evaluated = Plan.drain b.st.plan b.eval in
+  if evaluated > 0 then observe_settle b evaluated
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase clock step (identical structure to the scalar kernel).    *)
@@ -359,7 +309,7 @@ let commit_snode st = function
     if f.ff_cur0 <> f.ff_next0 || f.ff_cur1 <> f.ff_next1 then begin
       f.ff_cur0 <- f.ff_next0;
       f.ff_cur1 <- f.ff_next1;
-      mark st f.ff_rank
+      Plan.mark st.plan f.ff_rank
     end
   | S_srl s ->
     let changed = ref false in
@@ -373,7 +323,7 @@ let commit_snode st = function
         Array.unsafe_set s.srl_c1 i (Array.unsafe_get s.srl_n1 i)
       end
     done;
-    if !changed then mark st s.srl_rank
+    if !changed then Plan.mark st.plan s.srl_rank
   | S_ram m ->
     let changed = ref false in
     for i = 0 to 15 do
@@ -386,42 +336,10 @@ let commit_snode st = function
         Array.unsafe_set m.ram_c1 i (Array.unsafe_get m.ram_n1 i)
       end
     done;
-    if !changed then mark st m.ram_rank
+    if !changed then Plan.mark st.plan m.ram_rank
 
 (* ------------------------------------------------------------------ *)
-(* Compilation (mirrors [Simulator.create]).                           *)
-
-type proto = Levelize.source = {
-  inst : cell;
-  prim : Prim.t;
-  in_ports : (string * net array) list;
-  out_ports : (string * net array) list;
-}
-
-let make_proto inst =
-  match Levelize.source_of inst with
-  | None -> assert false
-  | Some s -> s
-
-let levelize nodes =
-  let kahn, kahn_levels, max_level =
-    try Levelize.levelize nodes
-    with Levelize.Cycle cells ->
-      raise (Combinational_cycle (List.map Cell.path cells))
-  in
-  let tagged = Array.mapi (fun i node -> (kahn_levels.(i), i, node)) kahn in
-  Array.sort
-    (fun (l1, i1, _) (l2, i2, _) ->
-       if l1 <> l2 then Int.compare l1 l2 else Int.compare i1 i2)
-    tagged;
-  let order = Array.map (fun (_, _, n) -> n) tagged in
-  let level_of = Array.map (fun (l, _, _) -> l) tagged in
-  (order, level_of, max_level)
-
-let port_idx ports name =
-  match List.assoc_opt name ports with
-  | Some arr -> arr
-  | None -> invalid_arg (Printf.sprintf "Simulator.Batch: no port %s" name)
+(* Compilation: the plan's nodes, lowered to word-wise closures.       *)
 
 (* plane words of a broadcast 2-bit code *)
 let bcast0 mask c = if c land 1 = 1 then mask else 0
@@ -433,133 +351,35 @@ let create ?clock ~lanes design =
       (Printf.sprintf
          "Simulator.Batch.create: lanes must be within 1..%d (got %d)"
          max_lanes lanes);
-  List.iter
-    (fun inst ->
-       match Cell.prim_of inst with
-       | Some (Prim.Black_box { model_name; _ }) ->
-         invalid_arg
-           (Printf.sprintf
-              "Simulator.Batch.create: behavioural black box %s (%s) cannot \
-               be lane-packed; use the scalar Simulator"
-              (Cell.path inst) model_name)
-       | _ -> ())
-    (Design.all_prims design);
-  (match
-     List.filter
-       (function Design.Combinational_loop _ -> false | _ -> true)
-       (Design.errors design)
-   with
+  let plan, nodes = Plan.create ~who:"Simulator.Batch" ~clock design in
+  (match plan.Plan.black_boxes with
    | [] -> ()
-   | violation :: _ ->
+   | (path, model_name) :: _ ->
      invalid_arg
-       (Format.asprintf "Simulator.Batch.create: design-rule error: %a"
-          Design.pp_violation violation));
-  let clock_nets =
-    match clock with
-    | None -> None
-    | Some w ->
-      if Wire.width w <> 1 then
-        invalid_arg "Simulator.Batch.create: clock wire must be 1 bit wide";
-      let table = Hashtbl.create 4 in
-      Array.iter (fun n -> Hashtbl.replace table n.net_id ()) (Wire.nets w);
-      Some table
-  in
+       (Printf.sprintf
+          "Simulator.Batch.create: behavioural black box %s (%s) cannot be \
+           lane-packed; use the scalar Simulator"
+          path model_name));
   let mask = if lanes = max_lanes then -1 else (1 lsl lanes) - 1 in
-  let protos = List.map make_proto (Design.all_prims design) in
-  let order, level_of, depth = levelize protos in
-  let n_ranks = Array.length order in
-  let net_idx = Hashtbl.create 1024 in
-  let n_nets = ref 0 in
-  let index_net n =
-    if not (Hashtbl.mem net_idx n.net_id) then begin
-      Hashtbl.add net_idx n.net_id !n_nets;
-      incr n_nets
-    end
-  in
-  List.iter index_net (Design.all_nets design);
-  Array.iter
-    (fun p ->
-       List.iter (fun (_, nets) -> Array.iter index_net nets) p.in_ports;
-       List.iter (fun (_, nets) -> Array.iter index_net nets) p.out_ports)
-    order;
-  let n_nets = !n_nets in
-  let row = Array.make (n_nets + 1) 0 in
-  let iter_comb_nets p f =
-    List.iter
-      (fun port ->
-         match List.assoc_opt port p.in_ports with
-         | None -> ()
-         | Some nets ->
-           Array.iter (fun n -> f (Hashtbl.find net_idx n.net_id)) nets)
-      (Levelize.comb_inputs p)
-  in
-  Array.iter
-    (fun p -> iter_comb_nets p (fun idx -> row.(idx + 1) <- row.(idx + 1) + 1))
-    order;
-  for i = 1 to n_nets do
-    row.(i) <- row.(i) + row.(i - 1)
-  done;
-  let col = Array.make row.(n_nets) 0 in
-  let cursor = Array.sub row 0 n_nets in
-  Array.iteri
-    (fun rank p ->
-       iter_comb_nets p (fun idx ->
-         col.(cursor.(idx)) <- rank;
-         cursor.(idx) <- cursor.(idx) + 1))
-    order;
-  let level_lo = Array.make (depth + 1) n_ranks in
-  for r = n_ranks - 1 downto 0 do
-    level_lo.(level_of.(r)) <- r
-  done;
   let st =
-    { p0 = Array.make n_nets 0;
-      p1 = Array.make n_nets mask (* everything starts X in every lane *);
+    { p0 = Array.make plan.Plan.n_nets 0;
+      p1 = Array.make plan.Plan.n_nets mask (* everything starts X in every lane *);
       mask;
-      row;
-      col;
-      level_of;
-      dirty = Bytes.make n_ranks '\000';
-      level_pending = Array.make (depth + 1) 0;
-      pending_total = 0;
-      stat_evals = 0;
-      stat_changes = 0 }
+      plan }
   in
   let sc = { m0 = 0; m1 = 0; prod = Array.make 64 0 } in
-  let in_domain p =
-    match clock_nets with
-    | None -> true
-    | Some table ->
-      (match Prim.clock_port p.prim with
-       | None -> true
-       | Some port ->
-         (match List.assoc_opt port p.in_ports with
-          | None -> false
-          | Some nets ->
-            Array.exists (fun n -> Hashtbl.mem table n.net_id) nets))
-  in
-  let eval = Array.make n_ranks (fun () -> ()) in
+  let eval = Array.make (Array.length nodes) (fun () -> ()) in
   let seq_all = ref [] and seq_clocked = ref [] in
-  let seq_by_path = Hashtbl.create 64 in
+  let seq_at = Hashtbl.create 64 in (* rank -> node *)
   Array.iteri
-    (fun rank p ->
-       let add_seq sn clocked =
+    (fun rank { Plan.prim; ins; outs; clocked; _ } ->
+       let add_seq sn =
          seq_all := sn :: !seq_all;
-         Hashtbl.replace seq_by_path (Cell.path p.inst) sn;
+         Hashtbl.replace seq_at rank sn;
          if clocked then seq_clocked := sn :: !seq_clocked
        in
-       let ins =
-         List.map
-           (fun (name, nets) ->
-              (name, Array.map (fun n -> Hashtbl.find net_idx n.net_id) nets))
-           p.in_ports
-       and outs =
-         List.map
-           (fun (name, nets) ->
-              (name, Array.map (fun n -> Hashtbl.find net_idx n.net_id) nets))
-           p.out_ports
-       in
-       let p1 ports name = (port_idx ports name).(0) in
-       match p.prim with
+       let p1 ports name = (Plan.port plan ports name).(0) in
+       match prim with
        | Prim.Lut init ->
          let k = Lut_init.inputs init in
          let table = Lut_init.to_int init in
@@ -604,7 +424,7 @@ let create ?clock ~lanes design =
                   f.ff_cur0 f.ff_cur1 0 0;
                 write st q sc.m0 sc.m1
             else fun () -> write st q f.ff_cur0 f.ff_cur1);
-         add_seq (S_ff f) (in_domain p)
+         add_seq (S_ff f)
        | Prim.Muxcy ->
          let s = p1 ins "S" and di = p1 ins "DI" and ci = p1 ins "CI" in
          let o = p1 outs "O" in
@@ -657,7 +477,7 @@ let create ?clock ~lanes design =
          let q = p1 outs "Q" in
          let c0 = s.srl_c0 and c1 = s.srl_c1 in
          eval.(rank) <- mem_read_eval sc st a c0 c1 q;
-         add_seq (S_srl s) (in_domain p)
+         add_seq (S_srl s)
        | Prim.Ram16x1 { init } ->
          let m =
            { ram_rank = rank;
@@ -672,7 +492,7 @@ let create ?clock ~lanes design =
          in
          let o = p1 outs "O" in
          eval.(rank) <- mem_read_eval sc st m.ram_a m.ram_c0 m.ram_c1 o;
-         add_seq (S_ram m) (in_domain p)
+         add_seq (S_ram m)
        | Prim.Buf ->
          let i = p1 ins "I" and o = p1 outs "O" in
          eval.(rank) <-
@@ -692,7 +512,7 @@ let create ?clock ~lanes design =
          let v = p1 outs "P" in
          eval.(rank) <- (fun () -> write st v mask 0)
        | Prim.Black_box _ -> assert false (* rejected above *))
-    order;
+    nodes;
   let in_targets = Hashtbl.create 16 in
   List.iter
     (fun port ->
@@ -711,7 +531,7 @@ let create ?clock ~lanes design =
                         (Wire.name port.Design.port_wire) i
                         (Cell.path term.term_cell))
                | _ -> ());
-              match Hashtbl.find_opt net_idx n.net_id with
+              match Hashtbl.find_opt plan.Plan.net_idx n.net_id with
               | Some idx -> idx
               | None -> -1)
            nets
@@ -724,7 +544,7 @@ let create ?clock ~lanes design =
          ( port.Design.port_name,
            Array.map
              (fun n ->
-                match Hashtbl.find_opt net_idx n.net_id with
+                match Hashtbl.find_opt plan.Plan.net_idx n.net_id with
                 | Some idx -> idx
                 | None -> -1)
              (Wire.nets port.Design.port_wire) ))
@@ -732,16 +552,13 @@ let create ?clock ~lanes design =
   in
   let b =
     { sim_design = design;
-      net_idx;
       st;
       sc;
       n_lanes = lanes;
       eval;
-      level_lo;
-      depth;
       seq_all = Array.of_list (List.rev !seq_all);
       seq_clocked = Array.of_list (List.rev !seq_clocked);
-      seq_by_path;
+      seq_snap = Array.map (fun e -> Hashtbl.find seq_at e.Plan.rank) plan.Plan.seq;
       in_targets;
       out_ports;
       cycles = 0;
@@ -822,7 +639,7 @@ let lane_code st idx lane =
 
 let read_nets b ~lane nets =
   Bits.init (Array.length nets) (fun i ->
-    match Hashtbl.find_opt b.net_idx nets.(i).net_id with
+    match Hashtbl.find_opt b.st.plan.Plan.net_idx nets.(i).net_id with
     | None -> Bit.X
     | Some idx -> Bit.of_code (lane_code b.st idx lane))
 
@@ -889,9 +706,9 @@ let reset b =
 
 let cycle_count b = b.cycles
 let prim_count b = Array.length b.eval
-let levels b = b.depth
-let eval_count b = b.st.stat_evals
-let event_count b = b.st.stat_changes
+let levels b = b.st.plan.Plan.depth
+let eval_count b = b.st.plan.Plan.evals
+let event_count b = b.st.plan.Plan.changes
 
 let attach_settle_histogram b h = b.words_hist <- Some h
 
@@ -899,8 +716,8 @@ let register_metrics b registry =
   let module M = Jhdl_metrics.Metrics in
   M.probe registry "lanes_active" (fun () -> b.n_lanes);
   M.probe registry "batch_cycles_total" (fun () -> b.cycles);
-  M.probe registry "batch_settle_evals_total" (fun () -> b.st.stat_evals);
-  M.probe registry "batch_net_events_total" (fun () -> b.st.stat_changes);
+  M.probe registry "batch_settle_evals_total" (fun () -> eval_count b);
+  M.probe registry "batch_net_events_total" (fun () -> event_count b);
   if not (M.is_nil registry) then
     attach_settle_histogram b (M.histogram registry "words_per_settle")
 
@@ -912,99 +729,55 @@ let register_metrics b registry =
 let snapshot_lane b ~lane =
   check_lane b lane;
   propagate b;
-  let nets_list = Design.all_nets b.sim_design in
-  let image_nets = Bytes.create (List.length nets_list) in
-  List.iteri
-    (fun i n ->
-       let c =
-         match Hashtbl.find_opt b.net_idx n.net_id with
-         | Some idx -> lane_code b.st idx lane
-         | None -> 2
-       in
-       Bytes.set image_nets i (Char.chr c))
-    nets_list;
-  let lane_mem c0 c1 =
-    Bytes.init 16 (fun i ->
-      Char.chr
-        (((c0.(i) lsr lane) land 1) lor (((c1.(i) lsr lane) land 1) lsl 1)))
+  let plan = b.st.plan in
+  let code c0 c1 i =
+    ((c0.(i) lsr lane) land 1) lor (((c1.(i) lsr lane) land 1) lsl 1)
   in
-  let image_seq =
-    List.filter_map
-      (fun inst ->
-         let path = Cell.path inst in
-         match Hashtbl.find_opt b.seq_by_path path with
-         | None -> None
-         | Some (S_ff f) ->
-           Some
-             ( path,
-               Snapshot.Flop
-                 (((f.ff_cur0 lsr lane) land 1)
-                  lor (((f.ff_cur1 lsr lane) land 1) lsl 1)) )
-         | Some (S_srl s) ->
-           Some (path, Snapshot.Mem (lane_mem s.srl_c0 s.srl_c1))
-         | Some (S_ram m) ->
-           Some (path, Snapshot.Mem (lane_mem m.ram_c0 m.ram_c1)))
-      (Design.all_prims b.sim_design)
+  let lane_mem c0 c1 = Bytes.init 16 (fun i -> Char.chr (code c0 c1 i)) in
+  let state = function
+    | S_ff f ->
+      Snapshot.Flop
+        (((f.ff_cur0 lsr lane) land 1) lor (((f.ff_cur1 lsr lane) land 1) lsl 1))
+    | S_srl s -> Snapshot.Mem (lane_mem s.srl_c0 s.srl_c1)
+    | S_ram m -> Snapshot.Mem (lane_mem m.ram_c0 m.ram_c1)
   in
   Snapshot.encode
-    { Snapshot.image_signature = Snapshot.signature b.sim_design;
+    { Snapshot.image_signature = Plan.signature plan;
       image_cycles = b.cycles;
-      image_nets;
-      image_seq;
+      image_nets =
+        Bytes.init plan.Plan.snapshot_nets (fun i -> Char.chr (code b.st.p0 b.st.p1 i));
+      image_seq =
+        List.init (Array.length b.seq_snap) (fun i ->
+          (plan.Plan.seq.(i).Plan.path, state b.seq_snap.(i)));
       image_watches = [] }
 
 let restore_lane b ~lane blob =
   check_lane b lane;
   let img = Snapshot.decode blob in
-  let expect = Snapshot.signature b.sim_design in
-  if img.Snapshot.image_signature <> expect then
-    raise
-      (Snapshot.Error
-         (Printf.sprintf
-            "snapshot: design signature mismatch (blob %08x, design %s is %08x)"
-            img.Snapshot.image_signature
-            (Design.name b.sim_design)
-            expect));
-  let nets_list = Design.all_nets b.sim_design in
-  if Bytes.length img.Snapshot.image_nets <> List.length nets_list then
-    raise (Snapshot.Error "snapshot: net count mismatch");
+  Plan.check_image b.st.plan img (* before anything is written *);
   let bit = 1 lsl lane in
   let put_plane arr i c_bit =
     arr.(i) <- (if c_bit = 1 then arr.(i) lor bit else arr.(i) land lnot bit)
   in
+  let put c0 c1 i c =
+    put_plane c0 i (c land 1);
+    put_plane c1 i ((c lsr 1) land 1)
+  in
+  Bytes.iteri (fun i c -> put b.st.p0 b.st.p1 i (Char.code c)) img.Snapshot.image_nets;
   List.iteri
-    (fun i n ->
-       match Hashtbl.find_opt b.net_idx n.net_id with
-       | None -> ()
-       | Some idx ->
-         let c = Char.code (Bytes.get img.Snapshot.image_nets i) in
-         put_plane b.st.p0 idx (c land 1);
-         put_plane b.st.p1 idx ((c lsr 1) land 1))
-    nets_list;
-  List.iter
-    (fun (path, state) ->
-       match (Hashtbl.find_opt b.seq_by_path path, state) with
-       | Some (S_ff f), Snapshot.Flop c ->
+    (fun i (_, state) ->
+       match b.seq_snap.(i), state with
+       | S_ff f, Snapshot.Flop c ->
          f.ff_cur0 <-
            (if c land 1 = 1 then f.ff_cur0 lor bit else f.ff_cur0 land lnot bit);
          f.ff_cur1 <-
            (if c land 2 = 2 then f.ff_cur1 lor bit else f.ff_cur1 land lnot bit)
-       | Some (S_srl s), Snapshot.Mem cells ->
-         for i = 0 to 15 do
-           let c = Char.code (Bytes.get cells i) in
-           put_plane s.srl_c0 i (c land 1);
-           put_plane s.srl_c1 i ((c lsr 1) land 1)
-         done
-       | Some (S_ram m), Snapshot.Mem cells ->
-         for i = 0 to 15 do
-           let c = Char.code (Bytes.get cells i) in
-           put_plane m.ram_c0 i (c land 1);
-           put_plane m.ram_c1 i ((c lsr 1) land 1)
-         done
-       | _ ->
-         raise
-           (Snapshot.Error
-              ("snapshot: state entry does not match the design at " ^ path)))
+       | ( ( S_srl { srl_c0 = c0; srl_c1 = c1; _ }
+           | S_ram { ram_c0 = c0; ram_c1 = c1; _ } ),
+           Snapshot.Mem cells ) ->
+         Bytes.iteri (fun j c -> put c0 c1 j (Char.code c)) cells
+       | S_ff _, Snapshot.Mem _ | (S_srl _ | S_ram _), Snapshot.Flop _ ->
+         assert false (* kinds checked against the plan *))
     img.Snapshot.image_seq;
   (* the shared cycle counter is deliberately left unchanged: lanes step
      together, so the restored lane adopts the batch's clock position *)

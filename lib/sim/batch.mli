@@ -27,6 +27,11 @@
 
 type t
 
+(** Raised on a combinational loop, with the instance paths on it. The
+    same exception as {!Simulator.Combinational_cycle}: a handler for
+    either catches a loop found by either kernel. *)
+exception Combinational_cycle of string list
+
 (** Hard lane capacity: 63 lanes per OCaml [int] plane word. *)
 val max_lanes : int
 
@@ -98,7 +103,8 @@ val snapshot_lane : t -> lane:int -> string
     sequential state from [blob] and settles. The shared cycle counter
     is {e not} changed — lanes step together, so a restored lane adopts
     the batch's clock position. Raises {!Snapshot.Error} on malformed or
-    foreign blobs. *)
+    foreign blobs, leaving every lane untouched, under the same checks
+    as {!Simulator.restore}. *)
 val restore_lane : t -> lane:int -> string -> unit
 
 (** {1 Introspection}

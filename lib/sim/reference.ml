@@ -260,14 +260,14 @@ let create ?clock design =
    | [] -> ()
    | violation :: _ ->
      invalid_arg
-       (Format.asprintf "Simulator.create: design-rule error: %a"
+       (Format.asprintf "Reference.create: design-rule error: %a"
           Design.pp_violation violation));
   let clock_nets =
     match clock with
     | None -> None
     | Some w ->
       if Wire.width w <> 1 then
-        invalid_arg "Simulator.create: clock wire must be 1 bit wide";
+        invalid_arg "Reference.create: clock wire must be 1 bit wide";
       let table = Hashtbl.create 4 in
       Array.iter (fun n -> Hashtbl.replace table n.net_id ()) (Wire.nets w);
       Some table
@@ -598,6 +598,7 @@ let snapshot sim =
 
 let restore sim blob =
   let img = Snapshot.decode blob in
+  Snapshot.check_design sim.sim_design;
   let expect = Snapshot.signature sim.sim_design in
   if img.Snapshot.image_signature <> expect then
     raise
@@ -608,37 +609,46 @@ let restore sim blob =
   let nets_list = Design.all_nets sim.sim_design in
   if Bytes.length img.Snapshot.image_nets <> List.length nets_list then
     raise (Snapshot.Error "snapshot: net count mismatch");
+  (* all or nothing: the entries must be exactly the design's sequential
+     elements, in snapshot order and of matching kinds, before any write *)
+  let rec pair entries nodes =
+    match entries, nodes with
+    | [], [] -> []
+    | (path, state) :: entries, node :: nodes
+      when String.equal path (Cell.path node.inst) ->
+      (match state, node.state with
+       | Snapshot.Flop _, Ff_state _ | Snapshot.Mem _, Mem_state _ ->
+         (state, node.state) :: pair entries nodes
+       | _ -> mismatch path)
+    | (path, _) :: _, _ -> mismatch path
+    | [], node :: _ ->
+      raise (Snapshot.Error ("snapshot: no state entry for " ^ Cell.path node.inst))
+  and mismatch path =
+    raise (Snapshot.Error ("snapshot: state entry does not match the design at " ^ path))
+  in
+  let stateful =
+    List.filter_map
+      (fun (node, _) ->
+         match node.state with
+         | Ff_state _ | Mem_state _ -> Some node
+         | Bb_state _ | No_state -> None)
+      sim.seq_nodes
+  in
+  let states = pair img.Snapshot.image_seq stateful in
   List.iteri
     (fun i n ->
        Hashtbl.replace sim.values n.net_id
          (Bit.of_code (Char.code (Bytes.get img.Snapshot.image_nets i))))
     nets_list;
-  let by_path = seq_node_by_path sim in
   List.iter
-    (fun (path, state) ->
-       match Hashtbl.find_opt by_path path with
-       | Some { state = Ff_state { value; _ }; _ } ->
-         (match state with
-          | Snapshot.Flop c -> value := Bit.of_code c
-          | Snapshot.Mem _ ->
-            raise
-              (Snapshot.Error
-                 ("snapshot: state entry does not match the design at " ^ path)))
-       | Some { state = Mem_state { cells; _ }; _ } ->
-         (match state with
-          | Snapshot.Mem src ->
-            for i = 0 to 15 do
-              cells.(i) <- Bit.of_code (Char.code (Bytes.get src i))
-            done
-          | Snapshot.Flop _ ->
-            raise
-              (Snapshot.Error
-                 ("snapshot: state entry does not match the design at " ^ path)))
-       | Some _ | None ->
-         raise
-           (Snapshot.Error
-              ("snapshot: state entry does not match the design at " ^ path)))
-    img.Snapshot.image_seq;
+    (function
+      | Snapshot.Flop c, Ff_state { value; _ } -> value := Bit.of_code c
+      | Snapshot.Mem src, Mem_state { cells; _ } ->
+        for i = 0 to 15 do
+          cells.(i) <- Bit.of_code (Char.code (Bytes.get src i))
+        done
+      | _ -> assert false (* paired by kind above *))
+    states;
   sim.cycles <- img.Snapshot.image_cycles;
   List.iter
     (fun w ->

@@ -2,20 +2,18 @@
 
    Instead of interpreting the netlist each cycle (hashtable net store,
    string port lookups, closure lists — see [Reference]), [create] lowers
-   the levelized design into flat int-indexed structures once:
+   the levelized design into flat int-indexed structures once. The
+   [Plan] owns what this kernel shares with [Batch]: dense net numbering,
+   the CSR fan-out, the level-bucketed dirty worklist and the checkpoint
+   tables. This kernel adds:
 
-   - nets are renumbered to a dense [0..n-1] range and their 4-value
-     state lives in one [Bytes.t] of 2-bit codes ([Bit.to_code]);
-   - each node's input/output nets become int arrays captured by a
-     per-node evaluation closure compiled at [create], so the cycle loop
-     never touches association lists or formats port names;
-   - net fan-out is a CSR int-array pair ([row]/[col]) mapping a net to
-     the ranks of its combinational consumers;
-   - the dirty worklist is a per-rank byte flag plus a per-level pending
-     count, drained in ascending level order (combinational edges
-     strictly increase level, so one sweep settles the cone);
-   - sequential elements carry preallocated next-state buffers and the
-     two-phase clock step writes into those, allocating nothing.
+   - the 4-value state of every dense net in one [Bytes.t] of 2-bit
+     codes ([Bit.to_code]);
+   - a per-node evaluation closure over the node's dense port indices,
+     so the cycle loop never touches association lists or formats port
+     names;
+   - sequential elements with preallocated next-state buffers, which
+     the two-phase clock step writes into, allocating nothing.
 
    Black boxes keep the boxed [Bits.t] path through their [Prim.behavior]
    closures. Evaluation semantics — pessimistic X propagation, clock
@@ -30,9 +28,8 @@ module Prim = Jhdl_circuit.Prim
 module Wire = Jhdl_circuit.Wire
 module Cell = Jhdl_circuit.Cell
 module Design = Jhdl_circuit.Design
-module Levelize = Jhdl_circuit.Levelize
 
-exception Combinational_cycle of string list
+exception Combinational_cycle = Plan.Combinational_cycle
 
 (* ------------------------------------------------------------------ *)
 (* 2-bit code arithmetic (Zero=0 One=1 X=2 Z=3; defined iff < 2).      *)
@@ -51,41 +48,21 @@ let mux_code sel a b =
   else 2
 
 (* ------------------------------------------------------------------ *)
-(* Dense store: net values, fan-out CSR, level-bucketed dirty list.    *)
+(* Dense store: one code byte per dense net, plus the shared plan.     *)
 
 type store = {
-  vals : Bytes.t; (* one code byte per dense net *)
-  row : int array; (* CSR offsets, length n_nets + 1 *)
-  col : int array; (* consumer node ranks *)
-  level_of : int array; (* per rank *)
-  dirty : Bytes.t; (* per-rank pending flag *)
-  level_pending : int array; (* dirty count per level *)
-  mutable pending_total : int;
-  (* lifetime work counters: plain int stores, so the steady-state
-     cycle stays allocation-free with instrumentation attached *)
-  mutable stat_evals : int; (* node evaluations during settles *)
-  mutable stat_changes : int; (* change-tracked net writes that stuck *)
+  vals : Bytes.t;
+  plan : Plan.t;
 }
 
 let code st idx = Char.code (Bytes.unsafe_get st.vals idx)
-
-let mark st rank =
-  if Bytes.unsafe_get st.dirty rank = '\000' then begin
-    Bytes.unsafe_set st.dirty rank '\001';
-    let lv = Array.unsafe_get st.level_of rank in
-    st.level_pending.(lv) <- st.level_pending.(lv) + 1;
-    st.pending_total <- st.pending_total + 1
-  end
 
 (* change-tracked net write: a changed code marks the net's CSR
    consumers dirty *)
 let write st idx c =
   if Char.code (Bytes.unsafe_get st.vals idx) <> c then begin
     Bytes.unsafe_set st.vals idx (Char.unsafe_chr c);
-    st.stat_changes <- st.stat_changes + 1;
-    for k = st.row.(idx) to st.row.(idx + 1) - 1 do
-      mark st st.col.(k)
-    done
+    Plan.changed st.plan idx
   end
 
 (* Read [ins] into a packed (base, unknown-mask) pair: bit i of the low
@@ -187,97 +164,21 @@ type watch_entry = {
 
 type t = {
   sim_design : Design.t;
-  net_idx : (int, int) Hashtbl.t; (* net_id -> dense index *)
   st : store;
   eval : (unit -> unit) array; (* compiled per-node evaluators, by rank *)
-  level_lo : int array; (* first rank of each level *)
-  depth : int;
   seq_all : snode array; (* every sequential node, for [reset] *)
   seq_clocked : snode array; (* the selected clock domain *)
-  seq_by_path : (string, snode) Hashtbl.t; (* checkpoint state keys *)
+  seq_snap : snode array; (* the plan's checkpoint table, entry by entry *)
   mutable cycles : int;
   mutable watches : watch_entry list; (* reverse watch order *)
   mutable cycle_hooks : (int -> unit) list; (* registration order *)
 }
 
 (* ------------------------------------------------------------------ *)
-(* Construction-time netlist view (never touched after [create]).
-   The node shape and the walk are the shared [Levelize] ones, so the
-   simulator, the reference interpreter, the validator and the timing
-   estimator all agree on combinational edges and cycle membership.     *)
+(* Settle: the plan's worklist over this kernel's closures.            *)
 
-type proto = Levelize.source = {
-  inst : cell;
-  prim : Prim.t;
-  in_ports : (string * net array) list;
-  out_ports : (string * net array) list;
-}
-
-let make_proto inst =
-  match Levelize.source_of inst with
-  | None -> assert false
-  | Some s -> s
-
-let node_comb_inputs = Levelize.comb_inputs
-
-(* Shared Kahn levelization, then a stable sort by level so each level
-   occupies a contiguous rank range — what the level-bucketed worklist
-   drains. *)
-let levelize nodes =
-  let kahn, kahn_levels, max_level =
-    try Levelize.levelize nodes
-    with Levelize.Cycle cells ->
-      raise (Combinational_cycle (List.map Cell.path cells))
-  in
-  let tagged = Array.mapi (fun i node -> (kahn_levels.(i), i, node)) kahn in
-  Array.sort
-    (fun (l1, i1, _) (l2, i2, _) ->
-       if l1 <> l2 then Int.compare l1 l2 else Int.compare i1 i2)
-    tagged;
-  let order = Array.map (fun (_, _, n) -> n) tagged in
-  let level_of = Array.map (fun (l, _, _) -> l) tagged in
-  order, level_of, max_level
-
-(* ------------------------------------------------------------------ *)
-(* Settle.                                                             *)
-
-(* full pass: evaluate everything once in level order (used at create
-   and reset); leaves no pending work *)
-let propagate_full sim =
-  let eval = sim.eval in
-  for r = 0 to Array.length eval - 1 do
-    (Array.unsafe_get eval r) ()
-  done;
-  sim.st.stat_evals <- sim.st.stat_evals + Array.length eval;
-  Bytes.fill sim.st.dirty 0 (Bytes.length sim.st.dirty) '\000';
-  Array.fill sim.st.level_pending 0 (Array.length sim.st.level_pending) 0;
-  sim.st.pending_total <- 0
-
-(* incremental settle: drain dirty levels in ascending order. A node's
-   evaluation can only mark strictly higher levels (combinational edges
-   increase level), so one sweep reaches the fixpoint and each dirty
-   node is evaluated exactly once. *)
-let propagate sim =
-  let st = sim.st in
-  if st.pending_total > 0 then
-    for lv = 0 to sim.depth do
-      let cnt = st.level_pending.(lv) in
-      if cnt > 0 then begin
-        st.level_pending.(lv) <- 0;
-        st.pending_total <- st.pending_total - cnt;
-        st.stat_evals <- st.stat_evals + cnt;
-        let left = ref cnt in
-        let r = ref sim.level_lo.(lv) in
-        while !left > 0 do
-          if Bytes.unsafe_get st.dirty !r <> '\000' then begin
-            Bytes.unsafe_set st.dirty !r '\000';
-            decr left;
-            (Array.unsafe_get sim.eval !r) ()
-          end;
-          incr r
-        done
-      end
-    done
+let propagate_full sim = Plan.full_pass sim.st.plan sim.eval
+let propagate sim = ignore (Plan.drain sim.st.plan sim.eval : int)
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase clock step. Compute reads pre-edge values into the
@@ -340,18 +241,18 @@ let commit_snode st = function
   | S_ff f ->
     if f.ff_cur <> f.ff_next then begin
       f.ff_cur <- f.ff_next;
-      mark st f.ff_rank
+      Plan.mark st.plan f.ff_rank
     end
   | S_srl s ->
     if s.srl_commit && not (Bytes.equal s.srl_next s.srl_cells) then begin
       Bytes.blit s.srl_next 0 s.srl_cells 0 16;
-      mark st s.srl_rank
+      Plan.mark st.plan s.srl_rank
     end
   | S_ram m ->
     if m.ram_wr >= 0 then begin
       if Char.code (Bytes.get m.ram_cells m.ram_wr) <> m.ram_wd then begin
         Bytes.set m.ram_cells m.ram_wr (Char.chr m.ram_wd);
-        mark st m.ram_rank
+        Plan.mark st.plan m.ram_rank
       end
     end
     else if m.ram_wr = -2 then begin
@@ -362,141 +263,35 @@ let commit_snode st = function
         if Char.code (Bytes.unsafe_get m.ram_cells i) <> 2 then changed := true
       done;
       Bytes.fill m.ram_cells 0 16 '\002';
-      if !changed then mark st m.ram_rank
+      if !changed then Plan.mark st.plan m.ram_rank
     end
   | S_bb b ->
     (match b.bb_behavior.Prim.clock_edge with
      | Some edge ->
        edge ~read:b.bb_read;
        (* behavioural state is opaque: conservatively re-evaluate *)
-       mark st b.bb_rank
+       Plan.mark st.plan b.bb_rank
      | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Compilation.                                                        *)
 
-let port_idx ports name =
-  match List.assoc_opt name ports with
-  | Some arr -> arr
-  | None -> invalid_arg (Printf.sprintf "Simulator: no port %s" name)
-
 let create ?clock design =
-  (* Combinational loops are excluded from the design-rule pre-check so
-     levelization reports them through the canonical [Combinational_cycle]
-     exception, carrying the same cell list as [Design.validate]. *)
-  (match
-     List.filter
-       (function Design.Combinational_loop _ -> false | _ -> true)
-       (Design.errors design)
-   with
-   | [] -> ()
-   | violation :: _ ->
-     invalid_arg
-       (Format.asprintf "Simulator.create: design-rule error: %a"
-          Design.pp_violation violation));
-  let clock_nets =
-    match clock with
-    | None -> None
-    | Some w ->
-      if Wire.width w <> 1 then
-        invalid_arg "Simulator.create: clock wire must be 1 bit wide";
-      let table = Hashtbl.create 4 in
-      Array.iter (fun n -> Hashtbl.replace table n.net_id ()) (Wire.nets w);
-      Some table
-  in
-  let protos = List.map make_proto (Design.all_prims design) in
-  let order, level_of, depth = levelize protos in
-  let n_ranks = Array.length order in
-  (* dense net numbering: design nets first (creation order), then any
-     node-port net not reachable from a declared wire *)
-  let net_idx = Hashtbl.create 1024 in
-  let n_nets = ref 0 in
-  let index_net n =
-    if not (Hashtbl.mem net_idx n.net_id) then begin
-      Hashtbl.add net_idx n.net_id !n_nets;
-      incr n_nets
-    end
-  in
-  List.iter index_net (Design.all_nets design);
-  Array.iter
-    (fun p ->
-       List.iter (fun (_, nets) -> Array.iter index_net nets) p.in_ports;
-       List.iter (fun (_, nets) -> Array.iter index_net nets) p.out_ports)
-    order;
-  let n_nets = !n_nets in
-  (* consumer fan-out as CSR: count, prefix-sum, fill *)
-  let row = Array.make (n_nets + 1) 0 in
-  let iter_comb_nets p f =
-    List.iter
-      (fun port ->
-         match List.assoc_opt port p.in_ports with
-         | None -> ()
-         | Some nets ->
-           Array.iter (fun n -> f (Hashtbl.find net_idx n.net_id)) nets)
-      (node_comb_inputs p)
-  in
-  Array.iter (fun p -> iter_comb_nets p (fun idx -> row.(idx + 1) <- row.(idx + 1) + 1)) order;
-  for i = 1 to n_nets do
-    row.(i) <- row.(i) + row.(i - 1)
-  done;
-  let col = Array.make row.(n_nets) 0 in
-  let cursor = Array.sub row 0 n_nets in
-  Array.iteri
-    (fun rank p ->
-       iter_comb_nets p (fun idx ->
-         col.(cursor.(idx)) <- rank;
-         cursor.(idx) <- cursor.(idx) + 1))
-    order;
-  let level_lo = Array.make (depth + 1) n_ranks in
-  for r = n_ranks - 1 downto 0 do
-    level_lo.(level_of.(r)) <- r
-  done;
-  let st =
-    { vals = Bytes.make n_nets '\002' (* everything starts X *);
-      row;
-      col;
-      level_of;
-      dirty = Bytes.make n_ranks '\000';
-      level_pending = Array.make (depth + 1) 0;
-      pending_total = 0;
-      stat_evals = 0;
-      stat_changes = 0 }
-  in
-  let in_domain p =
-    match clock_nets with
-    | None -> true
-    | Some table ->
-      (match Prim.clock_port p.prim with
-       | None -> true (* black boxes follow the global cycle *)
-       | Some port ->
-         (match List.assoc_opt port p.in_ports with
-          | None -> false
-          | Some nets ->
-            Array.exists (fun n -> Hashtbl.mem table n.net_id) nets))
-  in
-  let eval = Array.make n_ranks (fun () -> ()) in
+  let plan, nodes = Plan.create ~who:"Simulator" ~clock design in
+  let st = { vals = Bytes.make plan.Plan.n_nets '\002' (* all X *); plan } in
+  let eval = Array.make (Array.length nodes) (fun () -> ()) in
   let seq_all = ref [] and seq_clocked = ref [] in
-  let seq_by_path = Hashtbl.create 64 in
+  let seq_at = Hashtbl.create 64 in (* rank -> node *)
   Array.iteri
-    (fun rank p ->
-       let add_seq sn clocked =
+    (fun rank { Plan.inst; prim; ins; outs; clocked } ->
+       let add_seq sn on_edge =
          seq_all := sn :: !seq_all;
-         Hashtbl.replace seq_by_path (Cell.path p.inst) sn;
-         if clocked then seq_clocked := sn :: !seq_clocked
+         Hashtbl.replace seq_at rank sn;
+         if on_edge then seq_clocked := sn :: !seq_clocked
        in
-       let ins =
-         List.map
-           (fun (name, nets) ->
-              (name, Array.map (fun n -> Hashtbl.find net_idx n.net_id) nets))
-           p.in_ports
-       and outs =
-         List.map
-           (fun (name, nets) ->
-              (name, Array.map (fun n -> Hashtbl.find net_idx n.net_id) nets))
-           p.out_ports
-       in
+       let port_idx = Plan.port plan in
        let p1 ports name = (port_idx ports name).(0) in
-       match p.prim with
+       match prim with
        | Prim.Lut init ->
          let k = Lut_init.inputs init in
          let table = Lut_init.to_int init in
@@ -523,7 +318,7 @@ let create ?clock design =
               let clr = f.ff_clr in
               fun () -> write st q (mux_code (code st clr) f.ff_cur 0)
             else fun () -> write st q f.ff_cur);
-         add_seq (S_ff f) (in_domain p)
+         add_seq (S_ff f) clocked
        | Prim.Muxcy ->
          let s = p1 ins "S" and di = p1 ins "DI" and ci = p1 ins "CI" in
          let o = p1 outs "O" in
@@ -555,7 +350,7 @@ let create ?clock design =
            (fun () ->
               let acc = gather st a 3 0 in
               write st q (mem_code cells (acc land 0xffff) (acc lsr 16)));
-         add_seq (S_srl s) (in_domain p)
+         add_seq (S_srl s) clocked
        | Prim.Ram16x1 { init } ->
          let init_b = Bytes.init 16 (fun i -> Char.chr ((init lsr i) land 1)) in
          let m =
@@ -574,7 +369,7 @@ let create ?clock design =
            (fun () ->
               let acc = gather st a 3 0 in
               write st o (mem_code cells (acc land 0xffff) (acc lsr 16)));
-         add_seq (S_ram m) (in_domain p)
+         add_seq (S_ram m) clocked
        | Prim.Buf ->
          let i = p1 ins "I" and o = p1 outs "O" in
          eval.(rank) <- (fun () -> write st o (code st i))
@@ -597,7 +392,7 @@ let create ?clock design =
            in
            Bits.init (Array.length arr) (fun i -> Bit.of_code (code st arr.(i)))
          in
-         let inst_path = Cell.path p.inst in
+         let inst_path = Cell.path inst in
          eval.(rank) <-
            (fun () ->
               let written = behavior.Prim.comb ~read in
@@ -615,18 +410,15 @@ let create ?clock design =
                 written);
          add_seq
            (S_bb { bb_rank = rank; bb_behavior = behavior; bb_read = read })
-           (in_domain p && Option.is_some behavior.Prim.clock_edge))
-    order;
+           (clocked && Option.is_some behavior.Prim.clock_edge))
+    nodes;
   let sim =
     { sim_design = design;
-      net_idx;
       st;
       eval;
-      level_lo;
-      depth;
       seq_all = Array.of_list (List.rev !seq_all);
       seq_clocked = Array.of_list (List.rev !seq_clocked);
-      seq_by_path;
+      seq_snap = Array.map (fun e -> Hashtbl.find seq_at e.Plan.rank) plan.Plan.seq;
       cycles = 0;
       watches = [];
       cycle_hooks = [] }
@@ -641,7 +433,7 @@ let design sim = sim.sim_design
 
 let read_nets sim nets =
   Bits.init (Array.length nets) (fun i ->
-    match Hashtbl.find_opt sim.net_idx nets.(i).net_id with
+    match Hashtbl.find_opt sim.st.plan.Plan.net_idx nets.(i).net_id with
     | None -> Bit.X
     | Some idx -> Bit.of_code (code sim.st idx))
 
@@ -667,7 +459,7 @@ let force_wire sim w bits =
             (Printf.sprintf "Simulator.set_input_wire: net %s[%d] is driven by %s"
                (Wire.name w) i (Cell.path term.term_cell))
         | None -> ());
-       match Hashtbl.find_opt sim.net_idx n.net_id with
+       match Hashtbl.find_opt sim.st.plan.Plan.net_idx n.net_id with
        | Some idx -> write sim.st idx (Bit.to_code (Bits.get bits i))
        | None -> ())
     (Wire.nets w)
@@ -762,7 +554,7 @@ let watch sim ?label w =
   let watch_idx =
     Array.map
       (fun n ->
-         match Hashtbl.find_opt sim.net_idx n.net_id with
+         match Hashtbl.find_opt sim.st.plan.Plan.net_idx n.net_id with
          | None -> -1
          | Some idx -> idx)
       (Wire.nets w)
@@ -775,9 +567,9 @@ let history sim =
 
 let on_cycle sim f = sim.cycle_hooks <- sim.cycle_hooks @ [ f ]
 let prim_count sim = Array.length sim.eval
-let levels sim = sim.depth
-let eval_count sim = sim.st.stat_evals
-let event_count sim = sim.st.stat_changes
+let levels sim = sim.st.plan.Plan.depth
+let eval_count sim = sim.st.plan.Plan.evals
+let event_count sim = sim.st.plan.Plan.changes
 
 (* Pull-based registration: the kernel's own counters are sampled as
    probes (zero per-cycle cost) and a per-cycle settle-size histogram
@@ -787,15 +579,16 @@ let event_count sim = sim.st.stat_changes
 let register_metrics sim registry =
   let module M = Jhdl_metrics.Metrics in
   M.probe registry "cycles_total" (fun () -> sim.cycles);
-  M.probe registry "settle_evals_total" (fun () -> sim.st.stat_evals);
-  M.probe registry "net_events_total" (fun () -> sim.st.stat_changes);
-  M.probe registry "prims" (fun () -> Array.length sim.eval);
-  M.probe registry "levels" (fun () -> sim.depth);
+  M.probe registry "settle_evals_total" (fun () -> eval_count sim);
+  M.probe registry "net_events_total" (fun () -> event_count sim);
+  M.probe registry "prims" (fun () -> prim_count sim);
+  M.probe registry "levels" (fun () -> levels sim);
   if not (M.is_nil registry) then begin
     let per_cycle = M.histogram registry "settle_evals_per_cycle" in
-    let last = ref sim.st.stat_evals in
+    let plan = sim.st.plan in
+    let last = ref plan.Plan.evals in
     on_cycle sim (fun _ ->
-        let now = sim.st.stat_evals in
+        let now = plan.Plan.evals in
         M.observe per_cycle (now - !last);
         last := now)
   end
@@ -803,68 +596,39 @@ let register_metrics sim registry =
 (* ------------------------------------------------------------------ *)
 (* Checkpointing. State entries are keyed by instance path ([Snapshot]'s
    contract), so blobs restore across [Simulator]/[Reference] and across
-   processes as long as the design signature matches.                   *)
+   processes as long as the design signature matches. The plan holds the
+   entry order; [seq_snap] holds this kernel's node for each entry.     *)
 
 let snapshot sim =
-  Snapshot.check_design sim.sim_design;
-  let nets_list = Design.all_nets sim.sim_design in
-  let image_nets = Bytes.create (List.length nets_list) in
-  List.iteri
-    (fun i n ->
-       let c =
-         match Hashtbl.find_opt sim.net_idx n.net_id with
-         | Some idx -> code sim.st idx
-         | None -> 2
-       in
-       Bytes.set image_nets i (Char.chr c))
-    nets_list;
-  let image_seq =
-    List.filter_map
-      (fun inst ->
-         let path = Cell.path inst in
-         match Hashtbl.find_opt sim.seq_by_path path with
-         | None | Some (S_bb _) -> None
-         | Some (S_ff f) -> Some (path, Snapshot.Flop f.ff_cur)
-         | Some (S_srl s) -> Some (path, Snapshot.Mem (Bytes.copy s.srl_cells))
-         | Some (S_ram m) -> Some (path, Snapshot.Mem (Bytes.copy m.ram_cells)))
-      (Design.all_prims sim.sim_design)
+  let plan = sim.st.plan in
+  Plan.check_snapshot plan;
+  let state = function
+    | S_ff f -> Snapshot.Flop f.ff_cur
+    | S_srl s -> Snapshot.Mem s.srl_cells
+    | S_ram m -> Snapshot.Mem m.ram_cells
+    | S_bb _ -> assert false (* black boxes have no table entry *)
   in
   Snapshot.encode
-    { Snapshot.image_signature = Snapshot.signature sim.sim_design;
+    { Snapshot.image_signature = Plan.signature plan;
       image_cycles = sim.cycles;
-      image_nets;
-      image_seq;
+      image_nets = Bytes.sub sim.st.vals 0 plan.Plan.snapshot_nets;
+      image_seq =
+        List.init (Array.length sim.seq_snap) (fun i ->
+          (plan.Plan.seq.(i).Plan.path, state sim.seq_snap.(i)));
       image_watches = history sim }
 
 let restore sim blob =
   let img = Snapshot.decode blob in
-  let expect = Snapshot.signature sim.sim_design in
-  if img.Snapshot.image_signature <> expect then
-    raise
-      (Snapshot.Error
-         (Printf.sprintf
-            "snapshot: design signature mismatch (blob %08x, design %s is %08x)"
-            img.Snapshot.image_signature (Design.name sim.sim_design) expect));
-  let nets_list = Design.all_nets sim.sim_design in
-  if Bytes.length img.Snapshot.image_nets <> List.length nets_list then
-    raise (Snapshot.Error "snapshot: net count mismatch");
+  Plan.check_image sim.st.plan img (* before anything is written *);
+  let nets = img.Snapshot.image_nets in
+  Bytes.blit nets 0 sim.st.vals 0 (Bytes.length nets);
   List.iteri
-    (fun i n ->
-       match Hashtbl.find_opt sim.net_idx n.net_id with
-       | None -> ()
-       | Some idx ->
-         Bytes.set sim.st.vals idx (Bytes.get img.Snapshot.image_nets i))
-    nets_list;
-  List.iter
-    (fun (path, state) ->
-       match Hashtbl.find_opt sim.seq_by_path path, state with
-       | Some (S_ff f), Snapshot.Flop c -> f.ff_cur <- c
-       | Some (S_srl s), Snapshot.Mem cells -> Bytes.blit cells 0 s.srl_cells 0 16
-       | Some (S_ram m), Snapshot.Mem cells -> Bytes.blit cells 0 m.ram_cells 0 16
-       | _ ->
-         raise
-           (Snapshot.Error
-              ("snapshot: state entry does not match the design at " ^ path)))
+    (fun i (_, state) ->
+       match sim.seq_snap.(i), state with
+       | S_ff f, Snapshot.Flop c -> f.ff_cur <- c
+       | ( (S_srl { srl_cells = cells; _ } | S_ram { ram_cells = cells; _ }),
+           Snapshot.Mem src ) -> Bytes.blit src 0 cells 0 16
+       | _ -> assert false (* kinds checked against the plan *))
     img.Snapshot.image_seq;
   sim.cycles <- img.Snapshot.image_cycles;
   List.iter

@@ -29,9 +29,10 @@
 
 type t
 
-exception
-  Combinational_cycle of string list
-      (** instance paths forming the cycle *)
+(** Raised on a combinational loop, with the instance paths forming the
+    cycle. {!Batch.create} raises this same exception, so one handler
+    covers both kernels. *)
+exception Combinational_cycle of string list
 
 (** [create ?clock design] elaborates and levelizes [design].
 
@@ -109,8 +110,11 @@ val snapshot : t -> string
     combinational logic. The blob must come from a design with the same
     {!Snapshot.signature} — either simulator implementation qualifies.
     Raises {!Snapshot.Error} on malformed, corrupt, wrong-version or
-    foreign blobs; [sim] is only modified once the blob has been fully
-    validated against the design. *)
+    foreign blobs, on blobs whose state entries are not exactly the
+    design's sequential elements, in snapshot order, with matching
+    flip-flop/memory kinds, and on designs holding behavioural black
+    boxes, whose state no blob carries; [sim] is only modified once the
+    blob has been fully validated against the design. *)
 val restore : t -> string -> unit
 
 (** {1 Introspection for tools}

@@ -148,7 +148,11 @@ let add_str16 b s =
   Buffer.add_string b s
 
 let encode img =
-  let b = Buffer.create 4096 in
+  (* sized for the header, the nets and typical state entries, so a
+     blob rarely regrows its buffer *)
+  let b =
+    Buffer.create (64 + Bytes.length img.image_nets + (48 * List.length img.image_seq))
+  in
   Buffer.add_string b magic;
   add_u8 b version;
   add_u32 b img.image_signature;
@@ -182,9 +186,7 @@ let encode img =
             Buffer.add_bytes b codes)
          samples)
     img.image_watches;
-  let body = Buffer.contents b in
-  let payload = String.sub body 4 (String.length body - 4) in
-  add_u16 b (crc16 payload);
+  add_u16 b (crc16 (Buffer.sub b 4 (Buffer.length b - 4)));
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

@@ -11,6 +11,7 @@ module Wire = Jhdl_circuit.Wire
 module Cell = Jhdl_circuit.Cell
 module Design = Jhdl_circuit.Design
 module Simulator = Jhdl_sim.Simulator
+module Reference = Jhdl_sim.Reference
 module Estimate = Jhdl_estimate.Estimate
 module Placer = Jhdl_place.Placer
 module Adders = Jhdl_modgen.Adders
@@ -458,6 +459,19 @@ let test_cycle_detectors_agree () =
       None
     with Simulator.Combinational_cycle cells -> Some cells
   in
+  (* the batch kernel raises the scalar kernel's exception *)
+  let from_batch =
+    try
+      ignore (Simulator.Batch.create ~lanes:1 d);
+      None
+    with Simulator.Combinational_cycle cells -> Some cells
+  in
+  let from_reference =
+    try
+      ignore (Reference.create d);
+      None
+    with Reference.Combinational_cycle cells -> Some cells
+  in
   let from_estimate =
     try
       ignore (Estimate.timing_of_design d);
@@ -470,9 +484,11 @@ let test_cycle_detectors_agree () =
       (fun diag -> diag.Lint.cells)
       (List.find_opt (fun x -> x.Lint.rule_id = "L005") report.Lint.diagnostics)
   in
-  match from_validate, from_sim, from_estimate, from_lint with
-  | Some v, Some s, Some e, Some l ->
+  match from_validate, from_sim, from_batch, from_reference, from_estimate, from_lint with
+  | Some v, Some s, Some b, Some r, Some e, Some l ->
     Alcotest.(check (list string)) "simulator agrees" v s;
+    Alcotest.(check (list string)) "batch kernel agrees" v b;
+    Alcotest.(check (list string)) "reference agrees" v r;
     Alcotest.(check (list string)) "estimator agrees" v e;
     Alcotest.(check (list string)) "lint agrees" v l
   | _ -> Alcotest.fail "every detector must report the loop"

@@ -10,6 +10,8 @@ module Prim = Jhdl_circuit.Prim
 module Types = Jhdl_circuit.Types
 module Virtex = Jhdl_virtex.Virtex
 module Simulator = Jhdl_sim.Simulator
+module Reference = Jhdl_sim.Reference
+module Snapshot = Jhdl_sim.Snapshot
 
 let bits = Alcotest.testable Bits.pp Bits.equal
 
@@ -274,10 +276,10 @@ let test_comb_cycle_detected () =
   let d = Design.create top in
   Alcotest.(check bool) "raises" true
     (try ignore (Simulator.create d); false
-     with Simulator.Combinational_cycle _ | Invalid_argument _ -> true)
+     with Simulator.Combinational_cycle _ -> true)
 
-let test_black_box_comb () =
-  (* a behavioural 4-bit adder black box *)
+(* a behavioural 4-bit adder black box *)
+let adder4_design () =
   let top = Cell.root ~name:"top" () in
   let a = Wire.create top ~name:"a" 4 in
   let b_ = Wire.create top ~name:"b" 4 in
@@ -297,10 +299,86 @@ let test_black_box_comb () =
   Design.add_port d "a" Types.Input a;
   Design.add_port d "b" Types.Input b_;
   Design.add_port d "s" Types.Output s;
-  let sim = Simulator.create d in
+  d
+
+let test_black_box_comb () =
+  let sim = Simulator.create (adder4_design ()) in
   Simulator.set_input sim "a" (Bits.of_int ~width:4 9);
   Simulator.set_input sim "b" (Bits.of_int ~width:4 4);
   Alcotest.check bits "9+4" (Bits.of_int ~width:4 13) (Simulator.get_port sim "s")
+
+let contains s sub =
+  let n = String.length sub in
+  let rec scan i = i + n <= String.length s && (String.sub s i n = sub || scan (i + 1)) in
+  scan 0
+
+let expect_invalid_arg label expected f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+  | exception Invalid_argument msg -> Alcotest.(check string) label expected msg
+
+(* a black box has opaque state: the scalar kernel simulates it but
+   cannot checkpoint it, and the batch kernel cannot lane-pack it *)
+let test_black_box_rejections () =
+  let d = adder4_design () in
+  let sim = Simulator.create d in
+  (match Simulator.snapshot sim with
+   | _ -> Alcotest.fail "snapshot of a black-box design must fail"
+   | exception Snapshot.Error msg ->
+     Alcotest.(check string) "snapshot names the instance"
+       "snapshot: design top holds behavioural black box top/adder4 (ADDER4) \
+        whose opaque state cannot be serialized"
+       msg);
+  (* nor restore: a resealed blob with the design's signature and nets
+     would leave the box's state behind *)
+  let forged =
+    Snapshot.encode
+      { Snapshot.image_signature = Snapshot.signature d;
+        image_cycles = 0;
+        image_nets = Bytes.make (List.length (Design.all_nets d)) '\000';
+        image_seq = [];
+        image_watches = [] }
+  in
+  List.iter
+    (fun (label, restore) ->
+       match restore forged with
+       | () -> Alcotest.failf "%s restore of a black-box design must fail" label
+       | exception Snapshot.Error _ -> ())
+    [ ("scalar", Simulator.restore sim); ("reference", Reference.restore (Reference.create d)) ];
+  match Simulator.Batch.create ~lanes:1 d with
+  | _ -> Alcotest.fail "batch must reject a black box"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) ("lane-pack rejection: " ^ msg) true
+      (contains msg "top/adder4 (ADDER4) cannot be lane-packed")
+
+(* the design-rule and 1-bit clock prechecks, each message prefixed by
+   the simulator that ran it *)
+let test_precheck_messages () =
+  let top = Cell.root ~name:"top" () in
+  let a = Wire.create top ~name:"a" 1 and o = Wire.create top ~name:"o" 1 in
+  let _ = Virtex.inv top a o in
+  let d = Design.create top in
+  Design.add_port d "o" Types.Output o;
+  let rule = "design-rule error: undriven net top/a[0] with 1 sink(s)" in
+  expect_invalid_arg "scalar precheck" ("Simulator.create: " ^ rule) (fun () ->
+    Simulator.create d);
+  expect_invalid_arg "batch precheck" ("Simulator.Batch.create: " ^ rule)
+    (fun () -> Simulator.Batch.create ~lanes:2 d);
+  expect_invalid_arg "reference precheck" ("Reference.create: " ^ rule)
+    (fun () -> Reference.create d);
+  let d, _ =
+    register_design ~ff:(fun top ~clk ~d ~q ->
+      let _ = Virtex.fd top ~c:clk ~d ~q () in
+      [])
+  in
+  let wide = Wire.create (Design.root d) ~name:"wide" 2 in
+  let clock = "clock wire must be 1 bit wide" in
+  expect_invalid_arg "scalar clock" ("Simulator.create: " ^ clock) (fun () ->
+    Simulator.create ~clock:wide d);
+  expect_invalid_arg "batch clock" ("Simulator.Batch.create: " ^ clock)
+    (fun () -> Simulator.Batch.create ~clock:wide ~lanes:2 d);
+  expect_invalid_arg "reference clock" ("Reference.create: " ^ clock)
+    (fun () -> Reference.create ~clock:wide d)
 
 let test_black_box_sequential () =
   (* a behavioural accumulator with reset support *)
@@ -425,6 +503,8 @@ let suite =
     Alcotest.test_case "comb cycle detected" `Quick test_comb_cycle_detected;
     Alcotest.test_case "black box comb" `Quick test_black_box_comb;
     Alcotest.test_case "black box sequential" `Quick test_black_box_sequential;
+    Alcotest.test_case "black box rejections" `Quick test_black_box_rejections;
+    Alcotest.test_case "precheck messages" `Quick test_precheck_messages;
     Alcotest.test_case "watch history" `Quick test_watch_history;
     Alcotest.test_case "cycle count and hook" `Quick test_cycle_count_and_hook;
     Alcotest.test_case "levels" `Quick test_levels ]

@@ -181,6 +181,60 @@ let test_rejects_wrong_design () =
   (* the rejected simulator is untouched *)
   Alcotest.(check int) "kcm still at cycle 0" 0 (Simulator.cycle_count kcm)
 
+(* Forged blobs, resealed through [Snapshot.encode] so the signature and
+   CRC still hold, whose state entries are not exactly the design's
+   sequential elements: every simulator must reject each one before it
+   writes anything, so its own snapshot is byte-identical afterwards. *)
+let test_restore_is_all_or_nothing () =
+  let built, src = counter_sim () in
+  let design = built.Ip_module.design and clock = clock_of built in
+  warm_up (Simulator.set_input src) (fun n -> Simulator.cycle ~n src) built 5;
+  let img = Snapshot.decode (Simulator.snapshot src) in
+  let seq = img.Snapshot.image_seq in
+  let last = List.length seq - 1 in
+  let reseal image_seq = Snapshot.encode { img with Snapshot.image_seq } in
+  let at_last f = List.mapi (fun i entry -> if i = last then f entry else entry) seq in
+  let forged =
+    [ ("renamed path", reseal (at_last (fun (path, st) -> (path ^ "_x", st))));
+      ( "swapped kind",
+        reseal
+          (at_last (fun (path, st) ->
+             match st with
+             | Snapshot.Flop _ -> (path, Snapshot.Mem (Bytes.make 16 '\001'))
+             | Snapshot.Mem _ -> (path, Snapshot.Flop 1))) );
+      ("dropped entry", reseal (List.filteri (fun i _ -> i <> last) seq));
+      ("duplicated entry", reseal (seq @ [ List.nth seq last ])) ]
+  in
+  let check_untouched kind snapshot restore =
+    List.iter
+      (fun (label, blob) ->
+         let before = snapshot () in
+         expect_error (kind ^ ": " ^ label) (fun () -> restore blob);
+         Alcotest.(check bool)
+           (Printf.sprintf "%s: %s leaves the state untouched" kind label)
+           true
+           (String.equal before (snapshot ())))
+      forged
+  in
+  let sim = sim_of built in
+  warm_up (Simulator.set_input sim) (fun n -> Simulator.cycle ~n sim) built 2;
+  check_untouched "simulator"
+    (fun () -> Simulator.snapshot sim)
+    (Simulator.restore sim);
+  let batch = Simulator.Batch.create ?clock ~lanes:2 design in
+  warm_up
+    (Simulator.Batch.set_input batch ~lane:0)
+    (fun n -> Simulator.Batch.cycle ~n batch)
+    built 2;
+  check_untouched "batch"
+    (fun () -> Simulator.Batch.snapshot_lane batch ~lane:0)
+    (Simulator.Batch.restore_lane batch ~lane:0);
+  let interp = ref_of built in
+  warm_up (Reference.set_input interp) (fun n -> Reference.cycle ~n interp) built 2;
+  check_untouched "reference"
+    (fun () -> Reference.snapshot interp)
+    (Reference.restore interp)
+
 let test_watch_history_survives () =
   let built, sim = counter_sim () in
   let q =
@@ -234,6 +288,8 @@ let suite =
     Alcotest.test_case "damaged blobs rejected" `Quick
       test_rejects_damaged_blobs;
     Alcotest.test_case "wrong design rejected" `Quick test_rejects_wrong_design;
+    Alcotest.test_case "restore is all-or-nothing" `Quick
+      test_restore_is_all_or_nothing;
     Alcotest.test_case "watch history survives" `Quick
       test_watch_history_survives;
     Alcotest.test_case "version and signature" `Quick
