@@ -96,7 +96,7 @@ let find_comb_loop d =
 let term_label t =
   Printf.sprintf "%s.%s" (Cell.path t.term_cell) t.term_port
 
-let validate d =
+let rule_violations d =
   let violations = ref [] in
   let add v = violations := v :: !violations in
   List.iter
@@ -137,18 +137,20 @@ let validate d =
               (Contended_net
                  { wire = net_label n; bit = n.source_bit; drivers })))
     (all_nets d);
-  (match find_comb_loop d with
-   | None -> ()
-   | Some cells -> add (Combinational_loop { cells }));
   List.rev !violations
 
-let errors d =
-  List.filter
-    (function
-      | Dangling_driver _ -> false
-      | Undriven_net _ | Contended_net _ | Combinational_loop _
-      | Port_wire_not_root _ -> true)
-    (validate d)
+let validate d =
+  match find_comb_loop d with
+  | None -> rule_violations d
+  | Some cells -> rule_violations d @ [ Combinational_loop { cells } ]
+
+let is_error = function
+  | Dangling_driver _ -> false
+  | Undriven_net _ | Contended_net _ | Combinational_loop _
+  | Port_wire_not_root _ -> true
+
+let errors d = List.filter is_error (validate d)
+let rule_errors d = List.filter is_error (rule_violations d)
 
 type stats = {
   composite_cells : int;

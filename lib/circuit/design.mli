@@ -50,6 +50,11 @@ val pp_violation : Format.formatter -> violation -> unit
 (** [errors d] is [validate d] without [Dangling_driver] warnings. *)
 val errors : t -> violation list
 
+(** [rule_errors d] is [errors d] without the combinational-loop walk,
+    for callers that levelize [d] themselves and report a loop from
+    that. *)
+val rule_errors : t -> violation list
+
 type stats = {
   composite_cells : int;
   primitive_instances : int;

@@ -5,8 +5,9 @@
     - {!Wire}, {!Cell}, {!Design}, {!Prim}, {!Types}: the circuit data
       structure (structural netlists built JHDL-style, by construction).
     - {!Virtex}: the technology library (primitives, area/delay models).
-    - {!Simulator}: cycle-based simulation (compiled dense kernel), with
-      {!Reference} as the retained golden-model interpreter.
+    - {!Simulator}: cycle-based simulation, the one-lane face of the
+      bit-plane kernel {!Simulator.Batch}, with {!Reference} as the
+      retained golden-model interpreter.
     - {!Model}, {!Edif}, {!Vhdl}, {!Verilog}, {!Format_kind}, {!Ident}:
       netlist interchange.
     - {!Estimate}: area and static-timing estimation.

@@ -5,15 +5,18 @@
    both formats are pinned byte-for-byte by cram tests, so any change
    here is a wire-format break. *)
 
-let checksum s =
+let checksum_sub s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Crc16.checksum_sub";
   let crc = ref 0xFFFF in
-  String.iter
-    (fun c ->
-       crc := !crc lxor (Char.code c lsl 8);
-       for _ = 1 to 8 do
-         if !crc land 0x8000 <> 0 then
-           crc := ((!crc lsl 1) lxor 0x1021) land 0xFFFF
-         else crc := (!crc lsl 1) land 0xFFFF
-       done)
-    s;
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor (Char.code (String.unsafe_get s i) lsl 8);
+    for _ = 1 to 8 do
+      if !crc land 0x8000 <> 0 then
+        crc := ((!crc lsl 1) lxor 0x1021) land 0xFFFF
+      else crc := (!crc lsl 1) land 0xFFFF
+    done
+  done;
   !crc
+
+let checksum s = checksum_sub s 0 (String.length s)

@@ -6,3 +6,8 @@
 
 val checksum : string -> int
 (** [checksum s] is the CRC-16/CCITT-FALSE of [s], in [0, 0xFFFF]. *)
+
+val checksum_sub : string -> int -> int -> int
+(** [checksum_sub s pos len] is [checksum (String.sub s pos len)],
+    computed in place. Raises [Invalid_argument] when the range is not
+    within [s]. *)

@@ -1,33 +1,37 @@
-(* Bit-parallel batch kernel: 63 testbench lanes per machine word.
+(* The simulation kernel: up to 63 testbench lanes per machine word.
 
-   Built on the same [Plan] as [Simulator] — dense net numbering, CSR
-   fan-out, per-level dirty buckets drained in ascending level order,
-   checkpoint tables — but the per-net state is a pair of bit-plane
-   words instead of one code byte: bit [l] of plane 0 / plane 1 holds
-   bit 0 / bit 1 of lane
-   [l]'s 2-bit code (Zero=00, One=01(+0), X=10, Z=11 in plane order
-   (p1,p0)). A node evaluation is then a handful of word-wise bitwise
+   [Simulator] is this kernel at one lane; [Batch] is the same kernel
+   at up to 63. The [Plan] supplies dense net numbering, CSR fan-out,
+   per-level dirty buckets drained in ascending level order and the
+   checkpoint tables. The per-net state is a pair of bit-plane words:
+   bit [l] of plane 0 / plane 1 holds bit 0 / bit 1 of lane [l]'s
+   2-bit code ([Bit.to_code]: Zero=00, One=01, X=10, Z=11 in plane
+   order (p1,p0)). A node evaluation is a handful of word-wise bitwise
    operations covering every lane at once:
 
    - INV/BUF/MULT_AND/XORCY are direct boolean-algebra translations of
-     the scalar code tables;
+     the four-valued gate tables;
    - MUXCY and the FF next-state chain use a word-wise [Bit.mux]
      ([mux4] below);
    - LUT1-4 build the 2^k per-lane address-possibility products with a
      doubling tree over per-input could-be-0/could-be-1 words, then OR
-     the products into "can produce 0"/"can produce 1" accumulators:
-     exactly the scalar subset walk, all lanes at once;
+     the products into "can produce 0"/"can produce 1" accumulators: an
+     output is defined only where every address an unknown input can
+     reach agrees;
    - SRL16/RAM16X1 reads run the same product tree over the 4 address
      bits, with an exact pass-through path (Z included) for lanes whose
      address is fully defined;
-   - FF/SRL/RAM sequential state lives in per-node plane words with the
-     same two-phase compute/commit step as the scalar kernel.
+   - FF/SRL/RAM sequential state lives in per-node plane words with a
+     two-phase compute/commit clock step;
+   - behavioural black boxes run their [Prim.behavior] closures over
+     boxed [Bits.t]. Their state is opaque and cannot be lane-packed,
+     so they are admitted only when the kernel has one lane.
 
    Evaluation is change-tracked per word: a write marks consumers when
    any lane changed, and re-evaluating an unchanged lane reproduces the
-   same value (node outputs are pure functions of the store), so lanes
-   are bit-identical to scalar [Simulator]/[Reference] runs — the fuzz
-   [batch] oracle and the qcheck lane suite pin this.
+   same value (node outputs are pure functions of the store), so each
+   lane equals an independent run of the golden [Reference] — the fuzz
+   [batch] and [sim-vs-ref] oracles and the qcheck lane suite pin this.
 
    The hot loops allocate nothing: plane words are immediates, the mux
    scratch and the product tree live on the sim record, and local
@@ -77,7 +81,7 @@ let write st idx n0 n1 =
 
 (* word-wise Bit.mux: per lane [a] when sel=0, [b] when sel=1, else X
    unless a and b agree on a defined value *)
-let mux4 sc mask s0 s1 a0 a1 b0 b1 =
+let[@inline] mux4 sc mask s0 s1 a0 a1 b0 b1 =
   let zs = lnot s0 land lnot s1 in
   let os = s0 land lnot s1 in
   let su = mask land lnot (zs lor os) in
@@ -89,7 +93,7 @@ let mux4 sc mask s0 s1 a0 a1 b0 b1 =
    products over inputs [addrs]: bit [l] of prod.(j) is set when lane
    [l]'s address can resolve to [j] — exactly one j for a fully defined
    address, every j matching the defined bits otherwise (X and Z
-   address bits are both "unknown", as in the scalar [gather]). The
+   address bits are both "unknown", as in [Reference]). The
    tree descends so slot writes never clobber unread parents, and
    inputs are folded high-to-low so table bit [i] of [j] corresponds to
    input [i]. [root] restricts all products to a lane subset. *)
@@ -113,8 +117,8 @@ let build_products sc st addrs k root =
 (* SRL16/RAM16X1 read port: one product tree over the 4 address bits,
    then an exact pass-through path (X and Z cells included) for lanes
    whose address is fully defined, and a reachable-cell possibility
-   analysis for the rest — mirroring the scalar [mem_code] base lookup
-   plus unknown-subset walk, all lanes at once. *)
+   analysis for the rest: a defined result needs a defined base cell
+   and every cell an unknown address bit can reach to agree with it. *)
 let mem_read_eval sc st a c0 c1 o () =
   let mask = st.mask in
   let au =
@@ -184,10 +188,18 @@ type ram_node = {
   ram_init : int;
 }
 
+(* one-lane kernels only: the closures read and write lane 0 *)
+type bb_node = {
+  bb_rank : int;
+  bb_behavior : Prim.behavior;
+  bb_read : string -> Bits.t;
+}
+
 type snode =
   | S_ff of ff_node
   | S_srl of srl_node
   | S_ram of ram_node
+  | S_bb of bb_node
 
 (* precompiled input-port target: dense index per bit, or the error a
    forced write must raise (output direction, driven net) *)
@@ -229,27 +241,29 @@ let propagate b =
   if evaluated > 0 then observe_settle b evaluated
 
 (* ------------------------------------------------------------------ *)
-(* Two-phase clock step (identical structure to the scalar kernel).    *)
+(* Two-phase clock step. Compute reads pre-edge values into the
+   preallocated next buffers; commit applies them and marks the node's
+   rank dirty when its outputs may have changed. Commits touch only
+   internal state, so black-box edge closures still observe pre-edge
+   nets regardless of commit order. *)
 
 let compute_snode st sc = function
   | S_ff f ->
     let mask = st.mask in
-    let d0 = Array.unsafe_get st.p0 f.ff_d
-    and d1 = Array.unsafe_get st.p1 f.ff_d in
-    let ce0 = if f.ff_ce >= 0 then Array.unsafe_get st.p0 f.ff_ce else mask
-    and ce1 = if f.ff_ce >= 0 then Array.unsafe_get st.p1 f.ff_ce else 0 in
-    let clr0 = if f.ff_clr >= 0 then Array.unsafe_get st.p0 f.ff_clr else 0
-    and clr1 = if f.ff_clr >= 0 then Array.unsafe_get st.p1 f.ff_clr else 0 in
-    let r0 = if f.ff_r >= 0 then Array.unsafe_get st.p0 f.ff_r else 0
-    and r1 = if f.ff_r >= 0 then Array.unsafe_get st.p1 f.ff_r else 0 in
     (* loaded = mux(R, D, 0); held = mux(CE, cur, loaded);
-       next = mux(CLR, held, 0) — each branch matches the scalar
-       [compute_snode] case analysis, CLR-unknown agreement included *)
-    mux4 sc mask r0 r1 d0 d1 0 0;
-    let l0 = sc.m0 and l1 = sc.m1 in
-    mux4 sc mask ce0 ce1 f.ff_cur0 f.ff_cur1 l0 l1;
-    let h0 = sc.m0 and h1 = sc.m1 in
-    mux4 sc mask clr0 clr1 h0 h1 0 0;
+       next = mux(CLR, held, 0): with CLR unknown, zero and the
+       clocked value must agree. An absent pin's mux is the identity. *)
+    sc.m0 <- Array.unsafe_get st.p0 f.ff_d;
+    sc.m1 <- Array.unsafe_get st.p1 f.ff_d;
+    if f.ff_r >= 0 then
+      mux4 sc mask (Array.unsafe_get st.p0 f.ff_r) (Array.unsafe_get st.p1 f.ff_r)
+        sc.m0 sc.m1 0 0;
+    if f.ff_ce >= 0 then
+      mux4 sc mask (Array.unsafe_get st.p0 f.ff_ce) (Array.unsafe_get st.p1 f.ff_ce)
+        f.ff_cur0 f.ff_cur1 sc.m0 sc.m1;
+    if f.ff_clr >= 0 then
+      mux4 sc mask (Array.unsafe_get st.p0 f.ff_clr) (Array.unsafe_get st.p1 f.ff_clr)
+        sc.m0 sc.m1 0 0;
     f.ff_next0 <- sc.m0;
     f.ff_next1 <- sc.m1
   | S_srl s ->
@@ -259,7 +273,7 @@ let compute_snode st sc = function
     let c0 = s.srl_c0 and c1 = s.srl_c1 in
     (* per tap: next = mux(CE, cur, shifted) — hold when CE=0, shift
        when CE=1, CE-unknown keeps a tap only where shifting would not
-       change a defined value (the scalar rule) *)
+       change a defined value *)
     for i = 0 to 15 do
       let sh0 =
         if i = 0 then Array.unsafe_get st.p0 s.srl_d
@@ -303,6 +317,7 @@ let compute_snode st sc = function
         ((w land d1) lor clobber
         lor (keep land Array.unsafe_get m.ram_c1 j))
     done
+  | S_bb _ -> ()
 
 let commit_snode st = function
   | S_ff f ->
@@ -337,6 +352,13 @@ let commit_snode st = function
       end
     done;
     if !changed then Plan.mark st.plan m.ram_rank
+  | S_bb b ->
+    (match b.bb_behavior.Prim.clock_edge with
+     | Some edge ->
+       edge ~read:b.bb_read;
+       (* behavioural state is opaque: conservatively re-evaluate *)
+       Plan.mark st.plan b.bb_rank
+     | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Compilation: the plan's nodes, lowered to word-wise closures.       *)
@@ -345,21 +367,25 @@ let commit_snode st = function
 let bcast0 mask c = if c land 1 = 1 then mask else 0
 let bcast1 mask c = if c land 2 = 2 then mask else 0
 
-let create ?clock ~lanes design =
+(* lane [lane]'s 2-bit code of dense net [idx] *)
+let lane_code st idx lane =
+  ((Array.unsafe_get st.p0 idx lsr lane) land 1)
+  lor (((Array.unsafe_get st.p1 idx lsr lane) land 1) lsl 1)
+
+let create_as ~who ~clock ~lanes design =
   if lanes < 1 || lanes > max_lanes then
     invalid_arg
-      (Printf.sprintf
-         "Simulator.Batch.create: lanes must be within 1..%d (got %d)"
+      (Printf.sprintf "%s.create: lanes must be within 1..%d (got %d)" who
          max_lanes lanes);
-  let plan, nodes = Plan.create ~who:"Simulator.Batch" ~clock design in
+  let plan, nodes = Plan.create ~who ~clock design in
   (match plan.Plan.black_boxes with
-   | [] -> ()
-   | (path, model_name) :: _ ->
+   | (path, model_name) :: _ when lanes > 1 ->
      invalid_arg
        (Printf.sprintf
-          "Simulator.Batch.create: behavioural black box %s (%s) cannot be \
-           lane-packed; use the scalar Simulator"
-          path model_name));
+          "%s.create: behavioural black box %s (%s) cannot be lane-packed; \
+           simulate it with one lane"
+          who path model_name)
+   | _ -> ());
   let mask = if lanes = max_lanes then -1 else (1 lsl lanes) - 1 in
   let st =
     { p0 = Array.make plan.Plan.n_nets 0;
@@ -372,11 +398,11 @@ let create ?clock ~lanes design =
   let seq_all = ref [] and seq_clocked = ref [] in
   let seq_at = Hashtbl.create 64 in (* rank -> node *)
   Array.iteri
-    (fun rank { Plan.prim; ins; outs; clocked; _ } ->
-       let add_seq sn =
+    (fun rank { Plan.inst; prim; ins; outs; clocked } ->
+       let add_seq sn on_edge =
          seq_all := sn :: !seq_all;
          Hashtbl.replace seq_at rank sn;
-         if clocked then seq_clocked := sn :: !seq_clocked
+         if on_edge then seq_clocked := sn :: !seq_clocked
        in
        let p1 ports name = (Plan.port plan ports name).(0) in
        match prim with
@@ -385,18 +411,27 @@ let create ?clock ~lanes design =
          let table = Lut_init.to_int init in
          let addrs = Array.init k (fun i -> p1 ins (Printf.sprintf "I%d" i)) in
          let o = p1 outs "O" in
-         let n_addr = 1 lsl k in
+         (* the product tree covers inputs 1..k-1; the split on input 0
+            is folded into the accumulation below *)
+         let upper = Array.sub addrs 1 (k - 1) and i0 = addrs.(0) in
+         let pairs = 1 lsl (k - 1) in
          eval.(rank) <-
            (fun () ->
-              build_products sc st addrs k mask;
+              build_products sc st upper (k - 1) mask;
+              let v0 = Array.unsafe_get st.p0 i0 and v1 = Array.unsafe_get st.p1 i0 in
+              let hi = v0 lor v1 and lo = lnot v0 lor v1 in
               (* possibility sets: can0/can1 collect the lanes that can
                  reach a 0/1 table bit; both reachable = X, exactly the
-                 scalar unknown-subset walk *)
+                 unknown-subset walk of [Reference] *)
               let can0 = ref 0 and can1 = ref 0 in
-              for j = 0 to n_addr - 1 do
-                let pr = Array.unsafe_get sc.prod j in
-                if (table lsr j) land 1 = 1 then can1 := !can1 lor pr
-                else can0 := !can0 lor pr
+              for m = 0 to pairs - 1 do
+                let pr = Array.unsafe_get sc.prod m in
+                let a = pr land lo and b = pr land hi (* address 2m, 2m+1 *) in
+                (* all ones where the table bit is 1 *)
+                let ta = 0 - ((table lsr (2 * m)) land 1)
+                and tb = 0 - ((table lsr ((2 * m) + 1)) land 1) in
+                can1 := !can1 lor (a land ta) lor (b land tb);
+                can0 := !can0 lor (a land lnot ta) lor (b land lnot tb)
               done;
               write st o (!can1 land lnot !can0) (!can1 land !can0))
        | Prim.Ff { clock_enable; async_clear; sync_reset; init } ->
@@ -424,7 +459,7 @@ let create ?clock ~lanes design =
                   f.ff_cur0 f.ff_cur1 0 0;
                 write st q sc.m0 sc.m1
             else fun () -> write st q f.ff_cur0 f.ff_cur1);
-         add_seq (S_ff f)
+         add_seq (S_ff f) clocked
        | Prim.Muxcy ->
          let s = p1 ins "S" and di = p1 ins "DI" and ci = p1 ins "CI" in
          let o = p1 outs "O" in
@@ -477,7 +512,7 @@ let create ?clock ~lanes design =
          let q = p1 outs "Q" in
          let c0 = s.srl_c0 and c1 = s.srl_c1 in
          eval.(rank) <- mem_read_eval sc st a c0 c1 q;
-         add_seq (S_srl s)
+         add_seq (S_srl s) clocked
        | Prim.Ram16x1 { init } ->
          let m =
            { ram_rank = rank;
@@ -492,7 +527,7 @@ let create ?clock ~lanes design =
          in
          let o = p1 outs "O" in
          eval.(rank) <- mem_read_eval sc st m.ram_a m.ram_c0 m.ram_c1 o;
-         add_seq (S_ram m)
+         add_seq (S_ram m) clocked
        | Prim.Buf ->
          let i = p1 ins "I" and o = p1 outs "O" in
          eval.(rank) <-
@@ -511,7 +546,36 @@ let create ?clock ~lanes design =
        | Prim.Vcc ->
          let v = p1 outs "P" in
          eval.(rank) <- (fun () -> write st v mask 0)
-       | Prim.Black_box _ -> assert false (* rejected above *))
+       | Prim.Black_box { make_behavior; _ } ->
+         (* admitted with one lane only (checked above) *)
+         let behavior = make_behavior () in
+         let read port =
+           let arr =
+             match List.assoc_opt port ins with
+             | Some a -> a
+             | None -> Plan.port plan outs port
+           in
+           Bits.init (Array.length arr) (fun i -> Bit.of_code (lane_code st arr.(i) 0))
+         in
+         let path = Cell.path inst in
+         eval.(rank) <-
+           (fun () ->
+              List.iter
+                (fun (port, bits) ->
+                   let nets = Plan.port plan outs port in
+                   if Array.length nets <> Bits.width bits then
+                     invalid_arg
+                       (Printf.sprintf "%s: black box %s wrote %d bits to %d-bit port %s"
+                          who path (Bits.width bits) (Array.length nets) port);
+                   Array.iteri
+                     (fun i idx ->
+                        let c = Bit.to_code (Bits.get bits i) in
+                        write st idx (c land 1) (c lsr 1))
+                     nets)
+                (behavior.Prim.comb ~read));
+         add_seq
+           (S_bb { bb_rank = rank; bb_behavior = behavior; bb_read = read })
+           (clocked && Option.is_some behavior.Prim.clock_edge))
     nodes;
   let in_targets = Hashtbl.create 16 in
   List.iter
@@ -566,6 +630,8 @@ let create ?clock ~lanes design =
   in
   propagate_full b;
   b
+
+let create ?clock ~lanes design = create_as ~who:"Simulator.Batch" ~clock ~lanes design
 
 (* ------------------------------------------------------------------ *)
 (* Public API.                                                         *)
@@ -633,9 +699,12 @@ let set_input b ~lane port bits =
 let set_inputs b ~lane assignments =
   List.iter (fun (port, bits) -> set_input b ~lane port bits) assignments
 
-let lane_code st idx lane =
-  ((Array.unsafe_get st.p0 idx lsr lane) land 1)
-  lor (((Array.unsafe_get st.p1 idx lsr lane) land 1) lsl 1)
+let force_net b ~lane n bit =
+  match Hashtbl.find_opt b.st.plan.Plan.net_idx n.net_id with
+  | Some idx ->
+    let c = Bit.to_code bit in
+    write_lane b.st idx lane (0 - (c land 1)) (0 - (c lsr 1))
+  | None -> ()
 
 let read_nets b ~lane nets =
   Bits.init (Array.length nets) (fun i ->
@@ -699,7 +768,8 @@ let reset b =
         for i = 0 to 15 do
           m.ram_c0.(i) <- bcast0 mask ((m.ram_init lsr i) land 1);
           m.ram_c1.(i) <- 0
-        done)
+        done
+      | S_bb bb -> Option.iter (fun f -> f ()) bb.bb_behavior.Prim.state_reset)
     b.seq_all;
   b.cycles <- 0;
   propagate_full b
@@ -722,63 +792,66 @@ let register_metrics b registry =
     attach_settle_histogram b (M.histogram registry "words_per_settle")
 
 (* ------------------------------------------------------------------ *)
-(* Lane extraction: one lane's state as a standard [Snapshot] blob,
-   byte-identical to [Simulator.snapshot] of a watchless scalar sim in
-   the same state.                                                     *)
+(* Lane extraction: one lane's state as a standard [Snapshot] image.
+   The blob of lane [l] is byte-identical to [Reference.snapshot] of a
+   watchless run of lane [l]'s stimulus.                               *)
 
-let snapshot_lane b ~lane =
+let lane_image b ~lane =
   check_lane b lane;
+  Plan.check_snapshot b.st.plan;
   propagate b;
   let plan = b.st.plan in
-  let code c0 c1 i =
-    ((c0.(i) lsr lane) land 1) lor (((c1.(i) lsr lane) land 1) lsl 1)
+  let lane_mem c0 c1 =
+    Bytes.init 16 (fun i ->
+      Char.unsafe_chr (((c0.(i) lsr lane) land 1) lor (((c1.(i) lsr lane) land 1) lsl 1)))
   in
-  let lane_mem c0 c1 = Bytes.init 16 (fun i -> Char.chr (code c0 c1 i)) in
   let state = function
     | S_ff f ->
       Snapshot.Flop
         (((f.ff_cur0 lsr lane) land 1) lor (((f.ff_cur1 lsr lane) land 1) lsl 1))
     | S_srl s -> Snapshot.Mem (lane_mem s.srl_c0 s.srl_c1)
     | S_ram m -> Snapshot.Mem (lane_mem m.ram_c0 m.ram_c1)
+    | S_bb _ -> assert false (* black boxes have no table entry *)
   in
-  Snapshot.encode
-    { Snapshot.image_signature = Plan.signature plan;
-      image_cycles = b.cycles;
-      image_nets =
-        Bytes.init plan.Plan.snapshot_nets (fun i -> Char.chr (code b.st.p0 b.st.p1 i));
-      image_seq =
-        List.init (Array.length b.seq_snap) (fun i ->
-          (plan.Plan.seq.(i).Plan.path, state b.seq_snap.(i)));
-      image_watches = [] }
+  let nets = Bytes.create plan.Plan.snapshot_nets in
+  for i = 0 to plan.Plan.snapshot_nets - 1 do
+    Bytes.unsafe_set nets i (Char.unsafe_chr (lane_code b.st i lane))
+  done;
+  { Snapshot.image_signature = Plan.signature plan;
+    image_cycles = b.cycles;
+    image_nets = nets;
+    image_seq =
+      List.init (Array.length b.seq_snap) (fun i ->
+        (plan.Plan.seq.(i).Plan.path, state b.seq_snap.(i)));
+    image_watches = [] }
 
-let restore_lane b ~lane blob =
-  check_lane b lane;
-  let img = Snapshot.decode blob in
+let snapshot_lane b ~lane = Snapshot.encode (lane_image b ~lane)
+
+(* [lane] is in range: [restore_lane] checks it before decoding *)
+let restore_image b ~lane img =
   Plan.check_image b.st.plan img (* before anything is written *);
   let bit = 1 lsl lane in
-  let put_plane arr i c_bit =
-    arr.(i) <- (if c_bit = 1 then arr.(i) lor bit else arr.(i) land lnot bit)
-  in
   let put c0 c1 i c =
-    put_plane c0 i (c land 1);
-    put_plane c1 i ((c lsr 1) land 1)
+    c0.(i) <- c0.(i) land lnot bit lor ((0 - (c land 1)) land bit);
+    c1.(i) <- c1.(i) land lnot bit lor ((0 - (c lsr 1)) land bit)
   in
   Bytes.iteri (fun i c -> put b.st.p0 b.st.p1 i (Char.code c)) img.Snapshot.image_nets;
   List.iteri
     (fun i (_, state) ->
        match b.seq_snap.(i), state with
        | S_ff f, Snapshot.Flop c ->
-         f.ff_cur0 <-
-           (if c land 1 = 1 then f.ff_cur0 lor bit else f.ff_cur0 land lnot bit);
-         f.ff_cur1 <-
-           (if c land 2 = 2 then f.ff_cur1 lor bit else f.ff_cur1 land lnot bit)
+         f.ff_cur0 <- f.ff_cur0 land lnot bit lor ((0 - (c land 1)) land bit);
+         f.ff_cur1 <- f.ff_cur1 land lnot bit lor ((0 - (c lsr 1)) land bit)
        | ( ( S_srl { srl_c0 = c0; srl_c1 = c1; _ }
            | S_ram { ram_c0 = c0; ram_c1 = c1; _ } ),
            Snapshot.Mem cells ) ->
          Bytes.iteri (fun j c -> put c0 c1 j (Char.code c)) cells
-       | S_ff _, Snapshot.Mem _ | (S_srl _ | S_ram _), Snapshot.Flop _ ->
-         assert false (* kinds checked against the plan *))
+       | _ -> assert false (* kinds checked against the plan *))
     img.Snapshot.image_seq;
   (* the shared cycle counter is deliberately left unchanged: lanes step
      together, so the restored lane adopts the batch's clock position *)
   propagate_full b
+
+let restore_lane b ~lane blob =
+  check_lane b lane;
+  restore_image b ~lane (Snapshot.decode blob)

@@ -1,29 +1,31 @@
-(** Bit-parallel batch simulation: up to 63 independent testbenches per
+(** The simulation kernel: up to 63 independent testbenches per
     machine word.
 
-    A batch simulator compiles a design exactly like {!Simulator} —
-    dense net numbering, CSR fan-out, level-bucketed dirty worklist —
-    but stores each net's 4-valued code across [lanes] independent
-    testbench lanes in two bit-plane words: bit [l] of the first
-    (resp. second) plane holds bit 0 (resp. bit 1) of the lane's
-    {!Jhdl_logic.Bit.to_code}, so Zero=(0,0), One=(1,0), X=(0,1),
-    Z=(1,1). One settle pass then evaluates every lane at once:
-    LUT1–LUT4 become word-wise possibility-set table lookups over the
-    plane pair, MUXCY/XORCY/MULT_AND/INV/BUF become a handful of
-    bitwise word operations, and FD*/SRL16E/RAM16X1S keep per-lane
-    sequential state in packed planes.
+    A batch simulator compiles a design once into dense net numbering,
+    CSR fan-out and a level-bucketed dirty worklist, and stores each
+    net's 4-valued code across [lanes] independent testbench lanes in
+    two bit-plane words: bit [l] of the first (resp. second) plane holds
+    bit 0 (resp. bit 1) of the lane's {!Jhdl_logic.Bit.to_code}, so
+    Zero=(0,0), One=(1,0), X=(0,1), Z=(1,1). One settle pass then
+    evaluates every lane at once: LUT1–LUT4 become word-wise
+    possibility-set table lookups over the plane pair,
+    MUXCY/XORCY/MULT_AND/INV/BUF become a handful of bitwise word
+    operations, and FD*/SRL16E/RAM16X1S keep per-lane sequential state
+    in packed planes.
 
-    Every lane is bit-identical to a scalar {!Simulator} (and therefore
-    to the golden {!Reference}) run of the same stimulus: the fuzz
-    [batch] oracle and the qcheck lane-equivalence suite pin this.
+    This is the one kernel: {!Simulator} is its one-lane face. Every
+    lane is bit-identical to a run of the golden {!Reference}
+    interpreter on the same stimulus; the fuzz [batch] oracle and the
+    qcheck lane-equivalence suite pin this.
 
-    Unlike the scalar simulator, input forcing is deferred: {!set_input}
-    and {!set_inputs} only record the forced values, and the next
-    {!cycle}, {!propagate} or read ({!get}, {!get_port},
-    {!read_outputs}, {!snapshot_lane}) settles combinational logic once
-    for everything forced since — so driving all 63 lanes costs a
-    single settle. Waveform watches and behavioural black boxes are
-    scalar-only features and are not supported here. *)
+    Input forcing is deferred here: {!set_input} and {!set_inputs} only
+    record the forced values, and the next {!cycle}, {!propagate} or
+    read ({!get}, {!get_port}, {!read_outputs}, {!snapshot_lane})
+    settles combinational logic once for everything forced since — so
+    driving all 63 lanes costs a single settle. Behavioural black boxes
+    run with one lane only: their state is opaque and cannot be
+    lane-packed. Waveform watches, cycle hooks and immediate settles
+    belong to the {!Simulator} face. *)
 
 type t
 
@@ -41,10 +43,10 @@ val max_lanes : int
     {!Simulator.create}.
 
     Raises [Invalid_argument] when [lanes] is outside [1..max_lanes]
-    (lane counts are never silently truncated), when the design holds
-    behavioural black boxes (their boxed state cannot be lane-packed),
-    or on design-rule errors; raises {!Combinational_cycle} on a
-    combinational loop. *)
+    (lane counts are never silently truncated), when [lanes > 1] and
+    the design holds behavioural black boxes (their boxed state cannot
+    be lane-packed), or on design-rule errors; raises
+    {!Combinational_cycle} on a combinational loop. *)
 val create : ?clock:Jhdl_circuit.Wire.t -> lanes:int -> Jhdl_circuit.Design.t -> t
 
 val design : t -> Jhdl_circuit.Design.t
@@ -92,11 +94,13 @@ val read_outputs : t -> lane:int -> (string * Jhdl_logic.Bits.t) list
 (** {1 Lane extraction}
 
     One lane's complete architectural state serializes to a standard
-    {!Snapshot} blob — byte-identical to {!Simulator.snapshot} of a
-    watchless scalar simulator in the same state, so batch lanes
-    check-point into, and restore from, the whole scalar ecosystem. *)
+    {!Snapshot} blob — byte-identical to {!Reference.snapshot} of a
+    watchless run in the same state, so batch lanes check-point into,
+    and restore from, the {!Simulator} face and the golden model. *)
 
-(** [snapshot_lane b ~lane] serializes one lane (settling first). *)
+(** [snapshot_lane b ~lane] serializes one lane (settling first).
+    Raises {!Snapshot.Error} when the design holds a behavioural black
+    box. *)
 val snapshot_lane : t -> lane:int -> string
 
 (** [restore_lane b ~lane blob] overwrites one lane's nets and
@@ -109,8 +113,9 @@ val restore_lane : t -> lane:int -> string -> unit
 
 (** {1 Introspection}
 
-    Work counters follow {!Simulator}: one "evaluation" or "event" here
-    is a word-wise operation covering all lanes at once. *)
+    One "evaluation" or "event" here is a word-wise operation covering
+    all lanes at once; with one lane these are {!Simulator}'s
+    counters. *)
 
 val prim_count : t -> int
 val levels : t -> int
@@ -121,8 +126,8 @@ val eval_count : t -> int
 (** Lifetime change-tracked plane writes that stuck. *)
 val event_count : t -> int
 
-(** [register_metrics b registry] registers the batch kernel's counters
-    following the scalar naming convention: probes [lanes_active],
+(** [register_metrics b registry] registers the kernel's counters,
+    named in the style of {!Simulator.register_metrics}: probes [lanes_active],
     [batch_cycles_total], [batch_settle_evals_total] and
     [batch_net_events_total], plus a [words_per_settle] histogram
     (word-wise evaluations per non-empty settle) fed from inside the
@@ -134,3 +139,22 @@ val register_metrics : t -> Jhdl_metrics.Metrics.t -> unit
     [words_per_settle] across many short-lived batch sims under one
     registry. *)
 val attach_settle_histogram : t -> Jhdl_metrics.Metrics.histogram -> unit
+
+(**/**)
+
+(* The one-lane face, {!Simulator}, is built on these; nothing else
+   calls them. *)
+
+(** {!create} with [who] as the prefix of its error messages. *)
+val create_as :
+  who:string -> clock:Jhdl_circuit.Wire.t option -> lanes:int -> Jhdl_circuit.Design.t -> t
+
+(** [force_net b ~lane net bit] forces one net of one lane without
+    settling; a net outside the design is ignored. *)
+val force_net : t -> lane:int -> Jhdl_circuit.Types.net -> Jhdl_logic.Bit.t -> unit
+
+(** {!snapshot_lane} before encoding. *)
+val lane_image : t -> lane:int -> Snapshot.image
+
+(** {!restore_lane} after decoding, for a lane known to be in range. *)
+val restore_image : t -> lane:int -> Snapshot.image -> unit

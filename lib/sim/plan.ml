@@ -1,9 +1,8 @@
-(* Compile plan shared by the two simulator kernels.
+(* Compile plan of the simulation kernel.
 
-   [Simulator] and [Batch] differ only in how they store a net's value
-   (one code byte, or two 63-lane plane words) and in the primitive
-   rules that read and write it. Everything they need before that choice
-   is built here, once per kernel [create]:
+   Everything [Batch] needs before it chooses a value store and the
+   primitive rules that read and write it is built here, once per
+   kernel [create]:
 
    - the design-rule and 1-bit clock prechecks;
    - the shared [Levelize] walk, stably sorted by level so each level
@@ -69,14 +68,10 @@ type t = {
 }
 
 let create ~who ~clock design =
-  (* Combinational loops are excluded from the design-rule precheck so
-     levelization reports them through [Combinational_cycle], carrying
-     the same cell list as [Design.validate]. *)
-  (match
-     List.filter
-       (function Design.Combinational_loop _ -> false | _ -> true)
-       (Design.errors design)
-   with
+  (* The precheck skips the loop walk: levelization below reports a
+     loop through [Combinational_cycle], carrying the same cell list as
+     [Design.validate]. *)
+  (match Design.rule_errors design with
    | [] -> ()
    | violation :: _ ->
      invalid_arg

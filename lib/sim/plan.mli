@@ -1,11 +1,12 @@
-(** Compile plan shared by the {!Simulator} and {!Batch} kernels.
+(** Compile plan of the simulation kernel ({!Batch}, and {!Simulator}
+    as its one-lane face).
 
-    Each kernel's [create] builds one plan and keeps it: the prechecks,
+    The kernel's [create] builds one plan and keeps it: the prechecks,
     the levelized rank order, dense net numbering, the CSR fan-out, the
-    level-bucketed dirty worklist and the checkpoint tables are defined
-    here once. A kernel adds only its value store, its per-primitive
-    eval closures and its sequential node records. {!Reference} builds
-    none of this: it stays the independent golden model. *)
+    level-bucketed dirty worklist and the checkpoint tables. The kernel
+    adds its plane store, its per-primitive eval closures and its
+    sequential node records. {!Reference} builds none of this: it stays
+    the independent golden model. *)
 
 (** Raised on a combinational loop, with the instance paths on it — the
     same cell list {!Jhdl_circuit.Design.validate} reports. *)

@@ -1,4 +1,5 @@
-(** Cycle-based circuit simulator, compiled to a dense array kernel.
+(** Cycle-based circuit simulator: the one-lane face of the simulation
+    kernel.
 
     The JHDL design suite's built-in simulator, reproduced: designs are
     elaborated to a flat list of primitive instances, combinational logic
@@ -9,14 +10,17 @@
     level order, so settling after an input change or a clock edge costs
     only the affected cone of logic.
 
-    {!create} compiles the levelized netlist once into flat int-indexed
-    structures: net values live in a contiguous byte store of 2-bit codes
-    ({!Jhdl_logic.Bit.to_code}), each primitive becomes a closure over
-    precomputed dense net indices, fan-out is a CSR int-array pair, and
-    the dirty worklist is a bitset bucketed by level. The steady-state
-    cycle loop performs no string port lookups, hashtable probes or
-    per-cycle allocation. The retained interpreter, {!Reference}, is the
-    golden model the kernel is differentially tested against.
+    There is one kernel, {!Batch}; a simulator is that kernel with one
+    lane. {!create} compiles the levelized netlist once into dense net
+    numbering, a CSR fan-out and a level-bucketed dirty worklist, and
+    lowers every primitive to a word-wise rule over the net's two value
+    planes. The steady-state cycle loop performs no string port lookups,
+    hashtable probes or per-cycle allocation. On top of the kernel this
+    face settles at once on every input force, samples watched wires,
+    runs cycle hooks, keeps its own cycle counter and puts watch
+    histories into its snapshots. The retained interpreter,
+    {!Reference}, is the independent golden model the kernel is
+    differentially tested against.
 
     Values are four-valued ({!Jhdl_logic.Bit}); registers power up to
     their INIT value and {!reset} models the Virtex global set/reset.
@@ -150,11 +154,10 @@ val register_metrics : t -> Jhdl_metrics.Metrics.t -> unit
 
 (** {1 Batch mode}
 
-    {!Batch} packs up to 63 independent testbench lanes into the bit
-    positions of one machine word per net plane, so a single settle
-    pass evaluates every lane at once — the data-parallel engine behind
-    the fuzz oracles, the differential corpus sweeps and multi-user
-    co-simulation. Each lane is bit-identical to a scalar run of this
-    simulator. *)
+    {!Batch} is the kernel itself, with up to 63 independent testbench
+    lanes in the bit positions of one machine word per net plane, so a
+    single settle pass evaluates every lane at once — the data-parallel
+    engine behind the fuzz oracles, the differential corpus sweeps and
+    multi-user co-simulation. This simulator is its one-lane face. *)
 
 module Batch = Batch

@@ -50,6 +50,7 @@ type image = {
 (* CRC-16/CCITT-FALSE, bit-identical to the wire protocol's checksum —
    both delegate to the one shared implementation *)
 let crc16 = Jhdl_logic.Crc16.checksum
+let crc16_sub = Jhdl_logic.Crc16.checksum_sub
 
 (* ------------------------------------------------------------------ *)
 (* Design signature.                                                   *)
@@ -132,62 +133,83 @@ let check_design design =
 (* ------------------------------------------------------------------ *)
 (* Encoding.                                                           *)
 
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* The blob is written into one buffer of its exact size, so encoding
+   allocates no blob-sized temporaries and the CRC runs in place. *)
+type writer = { buf : Bytes.t; mutable at : int }
 
-let add_u16 b v =
-  add_u8 b (v lsr 8);
-  add_u8 b v
+let put_u8 w v =
+  Bytes.set_uint8 w.buf w.at (v land 0xff);
+  w.at <- w.at + 1
 
-let add_u32 b v =
-  add_u16 b (v lsr 16);
-  add_u16 b v
+let put_u16 w v =
+  Bytes.set_uint16_be w.buf w.at (v land 0xffff);
+  w.at <- w.at + 2
 
-let add_str16 b s =
+let put_u32 w v =
+  put_u16 w (v lsr 16);
+  put_u16 w v
+
+let put_bytes w b =
+  Bytes.blit b 0 w.buf w.at (Bytes.length b);
+  w.at <- w.at + Bytes.length b
+
+let put_str16 w s =
   if String.length s > 0xffff then error "snapshot: string too long";
-  add_u16 b (String.length s);
-  Buffer.add_string b s
+  put_u16 w (String.length s);
+  Bytes.blit_string s 0 w.buf w.at (String.length s);
+  w.at <- w.at + String.length s
+
+let encoded_size img =
+  let entry n (path, state) =
+    n + 2 + String.length path + match state with Flop _ -> 2 | Mem _ -> 17
+  in
+  let sample n (_, bits) = n + 6 + Bits.width bits in
+  let watch n (label, samples) =
+    List.fold_left sample (n + 2 + String.length label + 4) samples
+  in
+  (* magic, version, signature, cycles and net count take 17 bytes *)
+  let n = List.fold_left entry (17 + Bytes.length img.image_nets + 4) img.image_seq in
+  List.fold_left watch (n + 2) img.image_watches + 2 (* the CRC *)
 
 let encode img =
-  (* sized for the header, the nets and typical state entries, so a
-     blob rarely regrows its buffer *)
-  let b =
-    Buffer.create (64 + Bytes.length img.image_nets + (48 * List.length img.image_seq))
-  in
-  Buffer.add_string b magic;
-  add_u8 b version;
-  add_u32 b img.image_signature;
-  add_u32 b img.image_cycles;
-  add_u32 b (Bytes.length img.image_nets);
-  Buffer.add_bytes b img.image_nets;
-  add_u32 b (List.length img.image_seq);
+  let w = { buf = Bytes.create (encoded_size img); at = String.length magic } in
+  Bytes.blit_string magic 0 w.buf 0 w.at;
+  put_u8 w version;
+  put_u32 w img.image_signature;
+  put_u32 w img.image_cycles;
+  put_u32 w (Bytes.length img.image_nets);
+  put_bytes w img.image_nets;
+  put_u32 w (List.length img.image_seq);
   List.iter
     (fun (path, state) ->
-       add_str16 b path;
+       put_str16 w path;
        match state with
        | Flop code ->
-         Buffer.add_char b 'F';
-         add_u8 b code
+         put_u8 w (Char.code 'F');
+         put_u8 w code
        | Mem cells ->
          if Bytes.length cells <> 16 then
            error "snapshot: memory state must be 16 cells";
-         Buffer.add_char b 'M';
-         Buffer.add_bytes b cells)
+         put_u8 w (Char.code 'M');
+         put_bytes w cells)
     img.image_seq;
-  add_u16 b (List.length img.image_watches);
+  put_u16 w (List.length img.image_watches);
   List.iter
     (fun (label, samples) ->
-       add_str16 b label;
-       add_u32 b (List.length samples);
+       put_str16 w label;
+       put_u32 w (List.length samples);
        List.iter
          (fun (cyc, bits) ->
-            add_u32 b cyc;
+            put_u32 w cyc;
             let codes = Bits.to_codes bits in
-            add_u16 b (Bytes.length codes);
-            Buffer.add_bytes b codes)
+            put_u16 w (Bytes.length codes);
+            put_bytes w codes)
          samples)
     img.image_watches;
-  add_u16 b (crc16 (Buffer.sub b 4 (Buffer.length b - 4)));
-  Buffer.contents b
+  (* the CRC borrows the buffer and keeps no reference to it *)
+  let crc = crc16_sub (Bytes.unsafe_to_string w.buf) 4 (w.at - 4) in
+  put_u16 w crc;
+  Bytes.unsafe_to_string w.buf
 
 (* ------------------------------------------------------------------ *)
 (* Decoding.                                                           *)
@@ -228,23 +250,25 @@ let code_byte r =
   if c > 3 then error "snapshot: invalid value code %d" c;
   c
 
+(* validated in place, then copied once *)
 let codes r n =
-  let s = str r n in
-  String.iter
-    (fun c -> if Char.code c > 3 then error "snapshot: invalid value code %d" (Char.code c))
-    s;
-  Bytes.of_string s
+  need r n;
+  for i = r.pos to r.pos + n - 1 do
+    let c = Char.code r.data.[i] in
+    if c > 3 then error "snapshot: invalid value code %d" c
+  done;
+  let b = Bytes.create n in
+  Bytes.blit_string r.data r.pos b 0 n;
+  r.pos <- r.pos + n;
+  b
 
 let decode data =
-  if String.length data < 4 || not (String.equal (String.sub data 0 4) magic)
-  then error "snapshot: bad magic (not a snapshot blob)";
+  if not (String.starts_with ~prefix:magic data) then
+    error "snapshot: bad magic (not a snapshot blob)";
   if String.length data < 7 then error "snapshot: truncated blob";
-  let stored =
-    (Char.code data.[String.length data - 2] lsl 8)
-    lor Char.code data.[String.length data - 1]
-  in
-  let payload = String.sub data 4 (String.length data - 6) in
-  if crc16 payload <> stored then error "snapshot: CRC mismatch (corrupt blob)";
+  let stored = String.get_uint16_be data (String.length data - 2) in
+  if crc16_sub data 4 (String.length data - 6) <> stored then
+    error "snapshot: CRC mismatch (corrupt blob)";
   let r = { data; pos = 4 } in
   let v = u8 r in
   if v <> version then

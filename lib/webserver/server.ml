@@ -54,10 +54,19 @@ type t = {
   (* the content-addressed delivery cache: elaborated designs, lint
      verdicts, exported netlists and jar bundles *)
   delivery : Ip_module.built Delivery.t;
-  mutable log : string list; (* newest first *)
+  log : string array; (* ring of the newest lines *)
+  mutable logged : int; (* lines ever logged; the next goes to [logged mod length] *)
   breaker : Breaker.t option; (* guards the jar download path *)
   sm : server_metrics;
 }
+
+(* lines the access log keeps: the newest, so a long-running server's
+   memory stays bounded *)
+let access_log_lines = 1024
+
+let log_line server line =
+  server.log.(server.logged mod access_log_lines) <- line;
+  server.logged <- server.logged + 1
 
 let create ~vendor ?cache_cap ?(delivery_cap = 256)
     ?(delivery_bytes = 64 * 1024 * 1024) ?breaker ?(metrics = Metrics.nil) ()
@@ -89,7 +98,8 @@ let create ~vendor ?cache_cap ?(delivery_cap = 256)
   in
   let server =
     { vendor; cache_cap; entries = []; accounts = Hashtbl.create 8;
-      component_versions; delivery; log = []; breaker; sm }
+      component_versions; delivery; log = Array.make access_log_lines "";
+      logged = 0; breaker; sm }
   in
   Metrics.probe metrics "catalog_entries" (fun () ->
       List.length server.entries);
@@ -349,12 +359,11 @@ let request_inner server ?(stale_ok = false) ?(now = 0.) ?params ~user
          Log.info (fun m ->
            m "GET /applets/%s for %s (%s)" ip_name user
              (License.tier_name account.tier));
-         server.log <-
-           Printf.sprintf "%s GET /applets/%s v%d (%s license, %d jar(s), %.1f s)"
-             user ip_name entry.version
-             (License.tier_name account.tier)
-             (List.length fetched) download_seconds
-           :: server.log;
+         log_line server
+           (Printf.sprintf "%s GET /applets/%s v%d (%s license, %d jar(s), %.1f s)"
+              user ip_name entry.version
+              (License.tier_name account.tier)
+              (List.length fetched) download_seconds);
          Ok
            { applet; version = entry.version; jars; fetched; failed;
              unavailable; evicted = !evicted; elaborated; fetch_attempts;
@@ -475,7 +484,9 @@ let serve_admitted server ~admission ~ticket ~now ~ip_name ~link ?faults
     serve_with server ~adm_ticket:(admission, ticket) ~now ~user ~ip_name
       ~link ?faults ?policy ()
 
-let access_log server = List.rev server.log
+let access_log server =
+  let n = min server.logged access_log_lines in
+  List.init n (fun i -> server.log.((server.logged - n + i) mod access_log_lines))
 
 let server_secret server = "vendor-secret/" ^ server.vendor
 
@@ -546,5 +557,5 @@ let state_digest server =
     (Printf.sprintf "evictions %d\n" (cache_evictions server));
   List.iter
     (fun line -> Buffer.add_string buf ("log " ^ line ^ "\n"))
-    (List.rev server.log);
+    (access_log server);
   Buffer.contents buf

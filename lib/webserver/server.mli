@@ -127,7 +127,8 @@ val request :
   unit ->
   (session, string) result
 
-(** [access_log server] — one line per request, oldest first. *)
+(** [access_log server] — one line per served request, oldest first:
+    the newest 1 024, so a long-running server's log stays bounded. *)
 val access_log : t -> string list
 
 (** {1 Overload-aware request path}

@@ -326,9 +326,11 @@ let test_fuzz_corpus_kernel_matches_reference () =
 
 (* ------------------------------------------------------------------ *)
 (* Bit-parallel batch kernel (PR 7): N packed stimulus lanes against N
-   scalar kernel runs must agree on every port of every lane, cycle for
+   golden-model runs must agree on every port of every lane, cycle for
    cycle — including X/Z-heavy stimulus, mid-run lane checkpointing and
-   the packed kernel's own allocation-free steady state. *)
+   the packed kernel's own allocation-free steady state. [Simulator] is
+   the same kernel at one lane, so the oracle is [Reference]: a rule
+   error shared by every lane count would pass a Simulator oracle. *)
 
 module Batch = Jhdl_sim.Simulator.Batch
 
@@ -347,9 +349,9 @@ let check_lanes ~ctx harness batch scalars =
        List.iter
          (fun port ->
             let a = Batch.get_port batch ~lane port
-            and b = Simulator.get_port dut port in
+            and b = Reference.get_port dut port in
             if not (Bits.equal a b) then
-              Alcotest.failf "%s: lane %d port %s: batch=%s kernel=%s" ctx
+              Alcotest.failf "%s: lane %d port %s: batch=%s reference=%s" ctx
                 lane port (Bits.to_string a) (Bits.to_string b))
          harness.outputs)
     scalars
@@ -359,7 +361,7 @@ let run_lane_differential ~seed ~lanes ~steps harness =
   let clock = harness.clock in
   let batch = Batch.create ?clock ~lanes harness.design in
   let scalars =
-    Array.init lanes (fun _ -> Simulator.create ?clock harness.design)
+    Array.init lanes (fun _ -> Reference.create ?clock harness.design)
   in
   check_lanes ~ctx:"initial" harness batch scalars;
   for step = 1 to steps do
@@ -369,23 +371,23 @@ let run_lane_differential ~seed ~lanes ~steps harness =
            (fun (port, w) ->
               let v = xz_heavy_bits st w in
               Batch.set_input batch ~lane port v;
-              Simulator.set_input dut port v)
+              Reference.set_input dut port v)
            harness.inputs)
       scalars;
     check_lanes ~ctx:(Printf.sprintf "step %d, after inputs" step) harness
       batch scalars;
     Batch.cycle batch;
-    Array.iter (fun dut -> Simulator.cycle dut) scalars;
+    Array.iter (fun dut -> Reference.cycle dut) scalars;
     check_lanes ~ctx:(Printf.sprintf "step %d, after cycle" step) harness
       batch scalars
   done;
   Array.iter
     (fun dut ->
-       Alcotest.(check int) "cycle counters" (Simulator.cycle_count dut)
+       Alcotest.(check int) "cycle counters" (Reference.cycle_count dut)
          (Batch.cycle_count batch))
     scalars;
   Batch.reset batch;
-  Array.iter Simulator.reset scalars;
+  Array.iter Reference.reset scalars;
   check_lanes ~ctx:"after reset" harness batch scalars
 
 let prop_batch_lanes_match_kernel =
@@ -426,9 +428,9 @@ let test_batch_snapshot_restore_mid_run () =
   let lanes = 7 and target = 4 and total = 24 and mid = 11 in
   let clock = harness.clock in
   let batch = Batch.create ?clock ~lanes harness.design in
-  (* the scalar twin is watchless, so its blob and the lane blob must
+  (* the golden twin is watchless, so its blob and the lane blob must
      be byte-identical *)
-  let scalar = Simulator.create ?clock harness.design in
+  let scalar = Reference.create ?clock harness.design in
   let drive_step ~step =
     for lane = 0 to lanes - 1 do
       List.iter
@@ -436,36 +438,36 @@ let test_batch_snapshot_restore_mid_run () =
         (det_stimulus harness ~lane ~step)
     done;
     List.iter
-      (fun (name, v) -> Simulator.set_input scalar name v)
+      (fun (name, v) -> Reference.set_input scalar name v)
       (det_stimulus harness ~lane:target ~step);
     Batch.cycle batch;
-    Simulator.cycle scalar
+    Reference.cycle scalar
   in
   for step = 1 to mid do
     drive_step ~step
   done;
   let blob = Batch.snapshot_lane batch ~lane:target in
   Alcotest.(check string)
-    "lane blob byte-identical to the scalar snapshot"
-    (Simulator.snapshot scalar) blob;
+    "lane blob byte-identical to the reference snapshot"
+    (Reference.snapshot scalar) blob;
   (* restore the lane into a fresh batch sim and keep driving: the
-     restored lane must shadow the scalar run to the end *)
+     restored lane must shadow the reference run to the end *)
   let batch2 = Batch.create ?clock ~lanes harness.design in
   Batch.restore_lane batch2 ~lane:target blob;
   for step = mid + 1 to total do
     List.iter
       (fun (name, v) ->
          Batch.set_input batch2 ~lane:target name v;
-         Simulator.set_input scalar name v)
+         Reference.set_input scalar name v)
       (det_stimulus harness ~lane:target ~step);
     Batch.cycle batch2;
-    Simulator.cycle scalar;
+    Reference.cycle scalar;
     List.iter
       (fun port ->
          let a = Batch.get_port batch2 ~lane:target port
-         and b = Simulator.get_port scalar port in
+         and b = Reference.get_port scalar port in
          if not (Bits.equal a b) then
-           Alcotest.failf "step %d after restore: port %s: batch=%s kernel=%s"
+           Alcotest.failf "step %d after restore: port %s: batch=%s reference=%s"
              step port (Bits.to_string a) (Bits.to_string b))
       harness.outputs
   done
@@ -510,9 +512,9 @@ let test_batch_lane_bounds () =
       ignore (Batch.get_port batch ~lane:(-1) "o"))
 
 (* the 200-seed corpus again (same seeds as the kernel-vs-reference
-   sweep above), now batch-vs-kernel: every generated design runs with
-   a seed-dependent lane count against that many scalar kernels, each
-   lane on its own rotated stimulus *)
+   sweep above), now at every lane count: every generated design runs
+   with a seed-dependent lane count against that many reference runs,
+   each lane on its own rotated stimulus *)
 let test_fuzz_corpus_batch_matches_kernel () =
   let module Fuzz = Jhdl_fuzz.Fuzz in
   let module Gen = Jhdl_fuzz.Gen in
@@ -531,7 +533,7 @@ let test_fuzz_corpus_batch_matches_kernel () =
     let lanes = 1 + (seed mod Batch.max_lanes) in
     let batch = Batch.create ?clock ~lanes built.Recipe.design in
     let scalars =
-      Array.init lanes (fun _ -> Simulator.create ?clock built.Recipe.design)
+      Array.init lanes (fun _ -> Reference.create ?clock built.Recipe.design)
     in
     let lane_stims =
       Array.init lanes (fun lane -> Oracle.lane_stimulus stim ~lane)
@@ -542,10 +544,10 @@ let test_fuzz_corpus_batch_matches_kernel () =
            List.iter
              (fun port ->
                 let a = Batch.get_port batch ~lane port
-                and b = Simulator.get_port dut port in
+                and b = Reference.get_port dut port in
                 if not (Bits.equal a b) then
                   Alcotest.failf
-                    "seed %d, %s: lane %d port %s: batch=%s kernel=%s" seed
+                    "seed %d, %s: lane %d port %s: batch=%s reference=%s" seed
                     ctx lane port (Bits.to_string a) (Bits.to_string b))
              built.Recipe.output_ports)
         scalars
@@ -558,12 +560,12 @@ let test_fuzz_corpus_batch_matches_kernel () =
            List.iteri
              (fun k port ->
                 Batch.set_input batch ~lane port row.(k);
-                Simulator.set_input dut port row.(k))
+                Reference.set_input dut port row.(k))
              built.Recipe.input_ports)
         scalars;
       check (Printf.sprintf "step %d after inputs" s);
       Batch.cycle batch;
-      Array.iter (fun dut -> Simulator.cycle dut) scalars;
+      Array.iter (fun dut -> Reference.cycle dut) scalars;
       check (Printf.sprintf "step %d after cycle" s)
     done
   done

@@ -317,8 +317,9 @@ let expect_invalid_arg label expected f =
   | _ -> Alcotest.failf "%s: expected Invalid_argument" label
   | exception Invalid_argument msg -> Alcotest.(check string) label expected msg
 
-(* a black box has opaque state: the scalar kernel simulates it but
-   cannot checkpoint it, and the batch kernel cannot lane-pack it *)
+(* a black box has opaque state: the one-lane kernel simulates it but
+   cannot checkpoint it, and a kernel of two or more lanes cannot
+   lane-pack it *)
 let test_black_box_rejections () =
   let d = adder4_design () in
   let sim = Simulator.create d in
@@ -345,7 +346,7 @@ let test_black_box_rejections () =
        | () -> Alcotest.failf "%s restore of a black-box design must fail" label
        | exception Snapshot.Error _ -> ())
     [ ("scalar", Simulator.restore sim); ("reference", Reference.restore (Reference.create d)) ];
-  match Simulator.Batch.create ~lanes:1 d with
+  match Simulator.Batch.create ~lanes:2 d with
   | _ -> Alcotest.fail "batch must reject a black box"
   | exception Invalid_argument msg ->
     Alcotest.(check bool) ("lane-pack rejection: " ^ msg) true

@@ -265,6 +265,39 @@ let test_watch_history_survives () =
        Alcotest.check bits "sample value" va vb)
     before after
 
+(* A checkpoint of the 16-tap co-simulation FIR costs at most three
+   blob-sized blocks of allocation, snapshot and restore together: the
+   lane's net codes, the blob written once at its exact size, and the
+   decoder's one copy of the nets. *)
+let test_checkpoint_allocation () =
+  let top = Jhdl_circuit.Cell.root ~name:"fir_top" () in
+  let clk = Wire.create top ~name:"clk" 1 in
+  let x = Wire.create top ~name:"x" 8 and y = Wire.create top ~name:"y" 20 in
+  let _ =
+    Jhdl_modgen.Fir.create top ~clk ~x ~y ~signed_mode:true
+      ~coefficients:[ -1; 3; -5; 7; -9; 11; 13; 17; 17; 13; 11; -9; 7; -5; 3; -1 ] ()
+  in
+  let d = Design.create top in
+  Design.add_port d "clk" Jhdl_circuit.Types.Input clk;
+  Design.add_port d "x" Jhdl_circuit.Types.Input x;
+  Design.add_port d "y" Jhdl_circuit.Types.Output y;
+  let sim = Simulator.create ~clock:clk d in
+  for c = 1 to 20 do
+    Simulator.set_input sim "x" (Bits.of_int ~width:8 (c * 37 land 0xFF));
+    Simulator.cycle sim
+  done;
+  (* the first snapshot computes the design signature *)
+  Simulator.restore sim (Simulator.snapshot sim);
+  let before = Gc.allocated_bytes () in
+  Simulator.restore sim (Simulator.snapshot sim);
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let blob_words =
+    float_of_int (String.length (Simulator.snapshot sim) / (Sys.word_size / 8))
+  in
+  if words > 3.0 *. blob_words then
+    Alcotest.failf "snapshot + restore allocated %.0f words (blob: %.0f words)" words
+      blob_words
+
 let test_version_and_signature_exposed () =
   Alcotest.(check int) "format version" 1 Snapshot.version;
   let built, _ = counter_sim () in
@@ -293,4 +326,6 @@ let suite =
     Alcotest.test_case "watch history survives" `Quick
       test_watch_history_survives;
     Alcotest.test_case "version and signature" `Quick
-      test_version_and_signature_exposed ]
+      test_version_and_signature_exposed;
+    Alcotest.test_case "checkpoint allocates three blobs at most" `Quick
+      test_checkpoint_allocation ]

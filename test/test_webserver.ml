@@ -99,6 +99,21 @@ let test_access_log () =
   let _ = request ~user:"bob" server in
   Alcotest.(check int) "two entries" 2 (List.length (Server.access_log server))
 
+(* the log keeps the newest 1 024 lines: bob's three requests come
+   first, so 1 024 of alice's push every one of them out *)
+let test_access_log_is_bounded () =
+  let server = fresh_server () in
+  for _ = 1 to 3 do
+    ignore (request ~user:"bob" server)
+  done;
+  for _ = 1 to 1024 do
+    ignore (request server)
+  done;
+  let log = Server.access_log server in
+  Alcotest.(check int) "newest 1 024 lines" 1024 (List.length log);
+  Alcotest.(check bool) "oldest lines dropped" true
+    (List.for_all (String.starts_with ~prefix:"alice ") log)
+
 let test_served_applet_works () =
   let server = fresh_server () in
   let session = request server in
@@ -435,4 +450,6 @@ let suite =
       test_update_refetches_applet_jar_only;
     Alcotest.test_case "cache is per user" `Quick test_cache_is_per_user;
     Alcotest.test_case "access log" `Quick test_access_log;
+    Alcotest.test_case "access log keeps the newest lines" `Quick
+      test_access_log_is_bounded;
     Alcotest.test_case "served applet works" `Quick test_served_applet_works ]
