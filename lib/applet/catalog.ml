@@ -428,6 +428,18 @@ type elaboration_error = {
 let elaboration_error_to_string e =
   Printf.sprintf "failed to elaborate %s: %s" e.failed_ip e.detail
 
+(* the schema checks each parameter on its own; a generator raises on
+   the combinations it cannot build (a CORDIC with more iterations
+   than bits), and that raise becomes a typed verdict here *)
+let elaborate ip assignment =
+  match ip.Ip_module.build assignment with
+  | built -> Ok built
+  | exception e ->
+    Error
+      { failed_ip = ip.Ip_module.ip_name;
+        exception_name = Printexc.exn_slot_name e;
+        detail = Printexc.to_string e }
+
 (* the verdict cache is keyed by the generator invocation — name,
    canonicalized default parameters, tech-library version — so a hit
    skips elaboration entirely; elaboration is deterministic in exactly
@@ -450,13 +462,9 @@ let lint_verdict ?cache ?(now = 0.) ip =
   match cached with
   | Some report -> Ok report
   | None ->
-    (match ip.Ip_module.build (Ip_module.defaults ip) with
-     | exception e ->
-       Error
-         { failed_ip = ip.Ip_module.ip_name;
-           exception_name = Printexc.exn_slot_name e;
-           detail = Printexc.to_string e }
-     | built ->
+    (match elaborate ip (Ip_module.defaults ip) with
+     | Error e -> Error e
+     | Ok built ->
        let report = Jhdl_lint.Lint.run built.Ip_module.design in
        (match cache with
         | Some store ->

@@ -51,6 +51,14 @@ type elaboration_error = {
 
 val elaboration_error_to_string : elaboration_error -> string
 
+(** [elaborate ip assignment] runs [ip]'s generator on a validated
+    [assignment]; a generator that raises (a parameter combination it
+    cannot build) yields the typed error instead. *)
+val elaborate :
+  Ip_module.t ->
+  (string * Ip_module.param_value) list ->
+  (Ip_module.built, elaboration_error) result
+
 (** [lint_verdict ?cache ?now ip] — the lint report for [ip] elaborated
     at its default parameters. With [cache] the verdict is served
     content-addressed (key: generator name, canonical defaults,

@@ -24,7 +24,7 @@ type result =
   | Not_equivalent of mismatch
   | Interface_mismatch of string
 
-type strategy = [ `Auto | `Sweep | `Scalar_sweep ]
+type strategy = [ `Auto | `Sweep ]
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: instruments are minted once per registry (duplicate names
@@ -72,6 +72,16 @@ type proof_outcome =
   | Proof_refuted of (string * Bits.t) list
   | Proof_unknown
 
+(* a behavioural black box is opaque to the proof and cannot be
+   lane-packed by the sweep *)
+let has_black_box d =
+  List.exists
+    (fun s ->
+       match s.Levelize.prim with
+       | Prim.Black_box _ -> true
+       | _ -> false)
+    (Levelize.sources_of_root (Design.root d))
+
 (* The BDD proof. Both designs are analysed in Defined mode on one
    shared manager/allocator, so input-port leaves coincide and pair
    equality is physical. A Defined-mode pair describes behaviour under
@@ -93,12 +103,7 @@ type proof_outcome =
 let prove ~node_budget ~clock ~has_clock ~inputs ~outputs a b =
   let scope_ok d =
     List.for_all (fun n -> n.extra_drivers = []) (Design.all_nets d)
-    && List.for_all
-         (fun s ->
-            match s.Levelize.prim with
-            | Prim.Black_box _ -> false
-            | _ -> true)
-         (Levelize.sources_of_root (Design.root d))
+    && not (has_black_box d)
   in
   if not (scope_ok a && scope_ok b) then Proof_unknown
   else begin
@@ -343,59 +348,17 @@ let check ?(max_exhaustive_bits = 14) ?(random_vectors = 500)
           vector_of_int (!state lsr 13))
       end
     in
-    (* scalar path: retained for black boxes and for benchmarking the
-       batch kernel against (`Scalar_sweep) *)
-    let scalar_sweep () =
-      let sim_a = Simulator.create ?clock:(clock_wire a) a in
-      let sim_b = Simulator.create ?clock:(clock_wire b) b in
-      let compare_outputs ~stimulus ~cycle =
-        List.find_map
-          (fun port ->
-             let value_a = Simulator.get_port sim_a port in
-             let value_b = Simulator.get_port sim_b port in
-             if Bits.equal value_a value_b then None
-             else Some { inputs = stimulus; cycle; port; value_a; value_b })
-          outputs
-      in
-      let run_vector stimulus =
-        Simulator.reset sim_a;
-        Simulator.reset sim_b;
-        List.iter
-          (fun (port, value) ->
-             Simulator.set_input sim_a port value;
-             Simulator.set_input sim_b port value)
-          stimulus;
-        let rec step cycle =
-          match compare_outputs ~stimulus ~cycle with
-          | Some m -> Some m
-          | None ->
-            if cycle >= cycles then None
-            else begin
-              Simulator.cycle sim_a;
-              Simulator.cycle sim_b;
-              step (cycle + 1)
-            end
-        in
-        step 0
-      in
-      let rec sweep count = function
-        | [] -> Equivalent { vectors = count; exhaustive }
-        | stimulus :: rest ->
-          (match run_vector stimulus with
-           | Some m -> Not_equivalent m
-           | None ->
-             Option.iter (fun i -> Metrics.incr i.ins_sweeps) ins;
-             sweep (count + 1) rest)
-      in
-      sweep 0 vectors
-    in
-    (* batch path: 63 vectors share every settle *)
-    let batch_sweep () =
+    (* up to 63 vectors share every settle; one when a black box
+       rules out lane packing *)
+    let sweep () =
       let v_arr = Array.of_list vectors in
       let n = Array.length v_arr in
       if n = 0 then Equivalent { vectors = 0; exhaustive }
       else begin
-        let lanes = min n Batch.max_lanes in
+        let lanes =
+          if has_black_box a || has_black_box b then 1
+          else min n Batch.max_lanes
+        in
         let ba = Batch.create ?clock:(clock_wire a) ~lanes a in
         let bb = Batch.create ?clock:(clock_wire b) ~lanes b in
         let result = ref None in
@@ -451,13 +414,6 @@ let check ?(max_exhaustive_bits = 14) ?(random_vectors = 500)
         | None -> Equivalent { vectors = n; exhaustive }
       end
     in
-    let sweep () =
-      match strategy with
-      | `Scalar_sweep -> scalar_sweep ()
-      | `Auto | `Sweep ->
-        (* the batch kernel rejects behavioural black boxes *)
-        (try batch_sweep () with Invalid_argument _ -> scalar_sweep ())
-    in
     let confirm stimulus =
       (* replay a BDD counterexample on the real simulators before
          claiming anything — the proof layer never gets the last word
@@ -478,7 +434,7 @@ let check ?(max_exhaustive_bits = 14) ?(random_vectors = 500)
         outputs
     in
     match strategy with
-    | `Sweep | `Scalar_sweep -> sweep ()
+    | `Sweep -> sweep ()
     | `Auto ->
       (match
          prove ~node_budget ~clock ~has_clock ~inputs ~outputs a b

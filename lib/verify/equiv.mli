@@ -27,10 +27,11 @@
 
     - {b Sweep}: small input spaces are checked exhaustively, larger
       ones with a deterministic pseudo-random sample. The sweep runs
-      both designs through {!Jhdl_sim.Simulator.Batch}, 63 vectors per
-      settle; behavioural black boxes (which the batch kernel rejects)
-      drop to the retained scalar path. Clocked designs are compared
-      over [cycles_per_vector] cycles with outputs sampled after every
+      both designs through {!Jhdl_sim.Simulator.Batch}, up to 63
+      vectors per settle; when either design holds a behavioural black
+      box (which cannot be lane-packed) it runs one lane, one vector
+      per settle. Clocked designs are compared over
+      [cycles_per_vector] cycles with outputs sampled after every
       cycle and a reset between vector chunks.
 
     The proof path is exercised against the sweep by the [absint] fuzz
@@ -57,10 +58,8 @@ type result =
       (** differing port names, directions or widths *)
 
 (** Which machinery to use. [`Auto] (default) tries the proof and
-    falls back to the batched sweep; [`Sweep] skips the proof;
-    [`Scalar_sweep] additionally bypasses the batch kernel — the
-    benchmark baseline, and never needed otherwise. *)
-type strategy = [ `Auto | `Sweep | `Scalar_sweep ]
+    falls back to the sweep; [`Sweep] skips the proof. *)
+type strategy = [ `Auto | `Sweep ]
 
 (** [check ?max_exhaustive_bits ?random_vectors ?cycles_per_vector ?clock
     ?strategy ?node_budget ?metrics a b]:

@@ -214,7 +214,8 @@ let parse_params ip fields =
 (* server-side elaboration of a parameterized request: the built module
    and its EDIF export are both content-addressed by the generator
    invocation, so repeat requests at the same parameter point skip
-   elaboration and export entirely *)
+   elaboration and export entirely. A generator that cannot build the
+   point answers a typed refusal, and nothing is cached. *)
 let elaborate_cached server ~now entry assignment =
   let descriptor =
     Delivery.generator_descriptor ~generator:entry.ip.Ip_module.ip_name
@@ -223,16 +224,27 @@ let elaborate_cached server ~now entry assignment =
            (fun (k, v) -> (k, Ip_module.param_to_string v))
            assignment)
   in
+  let designs = server.delivery.Delivery.designs in
   let built =
-    Store.find_or_add server.delivery.Delivery.designs ~now ~descriptor
-      ~bytes:(fun b -> String.length (Snapshot.descriptor b.Ip_module.design))
-      (fun () -> entry.ip.Ip_module.build assignment)
+    match Store.find designs ~now ~descriptor with
+    | Some built -> Ok built
+    | None ->
+      Result.map
+        (fun built ->
+           ignore
+             (Store.add designs ~now ~descriptor
+                ~bytes:(String.length (Snapshot.descriptor built.Ip_module.design))
+                built
+              : string list);
+           built)
+        (Catalog.elaborate entry.ip assignment)
   in
-  let netlist =
-    Delivery.netlist_keyed server.delivery ~now ~kind:"edif" ~descriptor
-      (fun () -> Edif.of_design built.Ip_module.design)
-  in
-  (built, netlist)
+  Result.map
+    (fun built ->
+       ( built,
+         Delivery.netlist_keyed server.delivery ~now ~kind:"edif" ~descriptor
+           (fun () -> Edif.of_design built.Ip_module.design) ))
+    built
 
 let request_inner server ?(stale_ok = false) ?(now = 0.) ?params ~user
     ~ip_name ~link ?faults ?policy () =
@@ -258,7 +270,9 @@ let request_inner server ?(stale_ok = false) ?(now = 0.) ?params ~user
               Error
                 (Printf.sprintf "bad parameters for %s: %s" ip_name message)
             | Ok assignment ->
-              Ok (Some (elaborate_cached server ~now entry assignment)))
+              (match elaborate_cached server ~now entry assignment with
+               | Ok elaborated -> Ok (Some elaborated)
+               | Error e -> Error (Catalog.elaboration_error_to_string e)))
        in
        match elaborated_result with
        | Error message -> Error message

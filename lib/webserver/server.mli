@@ -113,7 +113,9 @@ type session = {
     (name, form-field string) parameter point; the build and its EDIF
     export land in [session.elaborated], served from the delivery
     cache on repeats. Malformed or out-of-range parameters are an
-    [Error]. [now] stamps cache recency (defaults to 0 — LRU order is
+    [Error], and so is a point the generator cannot build (the
+    {!Jhdl_applet.Catalog.elaboration_error_to_string} message); a
+    generator's raise never escapes. [now] stamps cache recency (defaults to 0 — LRU order is
     structural either way). *)
 val request :
   t ->

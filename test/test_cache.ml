@@ -220,6 +220,48 @@ let test_verdict_and_netlist_served_from_cache () =
   Alcotest.(check (float 1e-9)) "half the lookups hit" 0.5
     (Delivery.hit_rate delivery)
 
+(* a warm delivery cache serves the whole catalog at defaults without
+   running a generator or an exporter, and without a verify reject *)
+let test_warm_catalog_pass_builds_nothing () =
+  let delivery =
+    Delivery.create ~cap_entries:16 ~cap_bytes:(16 * 1024 * 1024) ()
+  in
+  let serve ~build ~export ip =
+    let descriptor =
+      Delivery.generator_descriptor ~generator:ip.Ip_module.ip_name
+        ~params:
+          (List.map
+             (fun (k, v) -> (k, Ip_module.param_to_string v))
+             (Ip_module.defaults ip))
+    in
+    let built =
+      Store.find_or_add delivery.Delivery.designs ~now:0. ~descriptor
+        ~bytes:(fun b -> String.length (Snapshot.descriptor b.Ip_module.design))
+        (fun () -> build ip)
+    in
+    ignore
+      (Delivery.netlist_keyed delivery ~now:0. ~kind:"edif" ~descriptor
+         (fun () -> export built)
+        : string)
+  in
+  List.iter
+    (serve
+       ~build:(fun ip -> ip.Ip_module.build (Ip_module.defaults ip))
+       ~export:(fun built -> Edif.of_design built.Ip_module.design))
+    Catalog.all;
+  let cold = Delivery.combined_stats delivery in
+  List.iter
+    (serve
+       ~build:(fun ip ->
+         Alcotest.failf "warm pass rebuilt %s" ip.Ip_module.ip_name)
+       ~export:(fun _ -> Alcotest.fail "warm pass re-exported a netlist"))
+    Catalog.all;
+  let warm = Delivery.combined_stats delivery in
+  Alcotest.(check int) "every warm lookup hits"
+    (warm.Store.lookups - cold.Store.lookups)
+    (warm.Store.hits - cold.Store.hits);
+  Alcotest.(check int) "no verify rejects" 0 warm.Store.verify_rejects
+
 (* ------------------------------------------------------------------ *)
 (* properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -282,6 +324,8 @@ let suite =
     Alcotest.test_case "generator descriptor canonical" `Quick
       test_generator_descriptor_canonical;
     Alcotest.test_case "verdict and netlist served from cache" `Quick
-      test_verdict_and_netlist_served_from_cache ]
+      test_verdict_and_netlist_served_from_cache;
+    Alcotest.test_case "warm catalog pass builds nothing" `Quick
+      test_warm_catalog_pass_builds_nothing ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_accounting_closes_under_churn; prop_hit_byte_identical_to_fresh ]

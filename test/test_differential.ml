@@ -491,6 +491,41 @@ let test_batch_steady_state_allocates_nothing () =
     Alcotest.failf "batch steady-state cycle allocates %.2f words/cycle"
       per_cycle
 
+(* the batch kernel's payoff as a work count, not a timing: 63 lanes
+   of the pipelined 8x8 KCM, each with its own stimulus, make at most
+   a third of the node evaluations that 63 one-lane runs of the same
+   testbenches make *)
+let test_batch_evals_beat_one_lane_runs () =
+  let harness =
+    kcm_harness ~n:8 ~pw:16 ~signed_mode:true ~pipelined_mode:true
+      ~structure:`Chain ~constant:(-56) ()
+  in
+  let clock = harness.clock and design = harness.design in
+  let lanes = Batch.max_lanes and cycles = 300 in
+  let stimulus i lane =
+    Bits.of_int ~width:8 (((i * 93) + (lane * 17)) land 0xFF)
+  in
+  let batch = Batch.create ?clock ~lanes design in
+  for i = 0 to cycles - 1 do
+    for lane = 0 to lanes - 1 do
+      Batch.set_input batch ~lane "m" (stimulus i lane)
+    done;
+    Batch.cycle batch
+  done;
+  let one_lane_evals = ref 0 in
+  for lane = 0 to lanes - 1 do
+    let sim = Simulator.create ?clock design in
+    for i = 0 to cycles - 1 do
+      Simulator.set_input sim "m" (stimulus i lane);
+      Simulator.cycle sim
+    done;
+    one_lane_evals := !one_lane_evals + Simulator.eval_count sim
+  done;
+  let batch_evals = Batch.eval_count batch in
+  if 3 * batch_evals > !one_lane_evals then
+    Alcotest.failf "63 lanes made %d evals against %d for 63 one-lane runs"
+      batch_evals !one_lane_evals
+
 let test_batch_lane_bounds () =
   let harness = ram_harness ~init:0 () in
   Alcotest.check_raises "zero lanes"
@@ -588,6 +623,8 @@ let suite =
       test_batch_steady_state_allocates_nothing;
     Alcotest.test_case "batch lane counts 0 and 64 are rejected" `Quick
       test_batch_lane_bounds;
+    Alcotest.test_case "63 lanes make a third of one-lane evals" `Quick
+      test_batch_evals_beat_one_lane_runs;
     Alcotest.test_case "200-seed fuzz corpus: batch = kernel" `Quick
       test_fuzz_corpus_batch_matches_kernel ]
   @ List.map QCheck_alcotest.to_alcotest

@@ -188,6 +188,15 @@ let test_single_lut_difference_caught () =
          0 m.Equiv.inputs)
   | other -> Alcotest.failf "expected mismatch, got %a" (fun fmt -> Equiv.pp_result fmt) other
 
+(* a behavioural black box can be neither proved nor lane-packed: the
+   sweep runs both designs one lane at a time *)
+let test_black_box_sweep () =
+  match Equiv.check (Test_sim.adder4_design ()) (Test_sim.adder4_design ()) with
+  | Equiv.Equivalent { vectors; exhaustive } ->
+    Alcotest.(check bool) "exhaustive at 8 bits" true exhaustive;
+    Alcotest.(check int) "256 vectors" 256 vectors
+  | other -> Alcotest.failf "%a" (fun fmt -> Equiv.pp_result fmt) other
+
 let suite =
   [ Alcotest.test_case "equivalent adders" `Quick test_equivalent_adders;
     Alcotest.test_case "detects difference" `Quick test_detects_difference;
@@ -198,5 +207,6 @@ let suite =
     Alcotest.test_case "sequential divergence" `Quick
       test_sequential_divergence_found;
     Alcotest.test_case "random sweep" `Quick test_random_sweep_on_wide_inputs;
+    Alcotest.test_case "black boxes sweep one lane" `Quick test_black_box_sweep;
     Alcotest.test_case "single lut difference" `Quick
       test_single_lut_difference_caught ]

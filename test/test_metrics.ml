@@ -136,6 +136,30 @@ let test_crc16_known_answers () =
   Alcotest.(check int) "123456789" 0x29B1 (crc "123456789");
   Alcotest.(check int) "A" 0xB915 (crc "A")
 
+(* the bit-serial CRC-16/CCITT-FALSE, one branch per bit: the
+   definition the table-driven [Crc16.checksum_sub] must reproduce *)
+let crc16_bitwise s pos len =
+  let crc = ref 0xFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor (Char.code s.[i] lsl 8);
+    for _ = 1 to 8 do
+      crc :=
+        if !crc land 0x8000 <> 0 then ((!crc lsl 1) lxor 0x1021) land 0xFFFF
+        else (!crc lsl 1) land 0xFFFF
+    done
+  done;
+  !crc
+
+let prop_crc16_table_matches_bitwise =
+  QCheck.Test.make ~count:500 ~name:"crc16 table = bit-serial reference"
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+       let n = String.length s in
+       let pos = a mod (n + 1) in
+       let len = b mod (n - pos + 1) in
+       Jhdl_logic.Crc16.checksum_sub s pos len = crc16_bitwise s pos len
+       && Jhdl_logic.Crc16.checksum s = crc16_bitwise s 0 n)
+
 let suite =
   [ Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "gauge" `Quick test_gauge;
@@ -147,5 +171,5 @@ let suite =
     Alcotest.test_case "text golden" `Quick test_text_golden;
     Alcotest.test_case "json golden" `Quick test_json_golden;
     Alcotest.test_case "trace text" `Quick test_trace_text;
-    Alcotest.test_case "crc16 known answers" `Quick test_crc16_known_answers
-  ]
+    Alcotest.test_case "crc16 known answers" `Quick test_crc16_known_answers;
+    QCheck_alcotest.to_alcotest prop_crc16_table_matches_bitwise ]

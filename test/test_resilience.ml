@@ -9,10 +9,12 @@ module Chaos = Jhdl_chaos.Chaos
 module Server = Jhdl_webserver.Server
 module Session_manager = Jhdl_webserver.Session_manager
 module Catalog = Jhdl_applet.Catalog
+module Ip_module = Jhdl_applet.Ip_module
 module License = Jhdl_applet.License
 module Download = Jhdl_bundle.Download
 module Fault = Jhdl_faults.Fault
 module Metrics = Jhdl_metrics.Metrics
+module Store = Jhdl_cache.Store
 module Wire = Jhdl_circuit.Wire
 module Cell = Jhdl_circuit.Cell
 module Design = Jhdl_circuit.Design
@@ -372,6 +374,78 @@ let test_failure_paths_counted () =
   Alcotest.(check int) "the shed counted as a failure too" 4
     (counter_value registry "request_failures_total")
 
+(* the schema checks each parameter on its own, so a form can pass it
+   and still name a point the generator refuses (more CORDIC
+   iterations than bits); that refusal is typed and counted, never
+   raised out of the server *)
+let test_generator_raise_is_a_refusal () =
+  let registry = Metrics.create "t" in
+  let server = Server.create ~vendor:"test-vendor" ~metrics:registry () in
+  ignore (Server.publish server Catalog.cordic);
+  Server.register_user server ~user:"alice" ~tier:License.Licensed;
+  (match
+     Server.user_request server ~now:0.0 ~user:"alice"
+       ~ip_name:"CordicRotator"
+       ~params:[ ("width", "10"); ("iterations", "27") ]
+       ~link:Download.dsl_1m ()
+   with
+   | Ok _ -> Alcotest.fail "27 iterations over 10 bits must be refused"
+   | Error r ->
+     Alcotest.(check string) "the generator's message, typed"
+       "failed to elaborate CordicRotator: Invalid_argument(\"Cordic.create: \
+        iterations must be in 1..width\")"
+       r.Server.rej_reason;
+     Alcotest.(check bool) "a plain failure, not a shed" true
+       (r.Server.rej_shed = None));
+  Alcotest.(check int) "counted" 1
+    (counter_value registry "request_failures_total");
+  Alcotest.(check int) "nothing cached" 0
+    (Store.stats (Server.delivery_cache server).Jhdl_cache.Delivery.designs)
+      .Store.live_entries
+
+(* whatever a form holds, the front door answers with a session or a
+   typed refusal: each field is a schema parameter (or a stray name)
+   with a value in or just outside its range, or junk *)
+let prop_user_request_never_raises =
+  let server = Server.create ~vendor:"test-vendor" () in
+  List.iter (fun ip -> ignore (Server.publish server ip)) Catalog.all;
+  Server.register_user server ~user:"alice" ~tier:License.Licensed;
+  let value_gen = function
+    | Ip_module.Int_param { min_value; max_value; _ } ->
+      QCheck.Gen.(map string_of_int (int_range (min_value - 2) (max_value + 2)))
+    | Ip_module.Bool_param _ ->
+      QCheck.Gen.oneofl [ "true"; "false"; "maybe" ]
+    | Ip_module.Choice_param { choices; _ } ->
+      QCheck.Gen.oneofl ("none" :: choices)
+  in
+  let field_gen ip =
+    QCheck.Gen.(
+      frequency
+        [ ( 9,
+            oneofl ip.Ip_module.params >>= fun (name, kind) ->
+            map (fun v -> (name, v)) (value_gen kind) );
+          (1, pair (oneofl [ "bogus"; "" ]) (string_size (int_bound 4))) ])
+  in
+  let form_gen =
+    QCheck.Gen.(
+      oneofl Catalog.all >>= fun ip ->
+      map (fun fields -> (ip, fields)) (list_size (int_bound 4) (field_gen ip)))
+  in
+  let print (ip, fields) =
+    Printf.sprintf "%s {%s}" ip.Ip_module.ip_name
+      (String.concat ", "
+         (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) fields))
+  in
+  QCheck.Test.make ~count:150 ~name:"user_request never raises on any form"
+    (QCheck.make ~print form_gen)
+    (fun (ip, params) ->
+       match
+         Server.user_request server ~now:0.0 ~user:"alice"
+           ~ip_name:ip.Ip_module.ip_name ~params
+           ~link:Download.dsl_1m ()
+       with
+       | Ok _ | Error _ -> true)
+
 let test_server_breaker_trips_and_recovers () =
   let registry = Metrics.create "t" in
   let breaker = Breaker.create ~metrics:registry ~name:"download" ~seed:9 () in
@@ -545,10 +619,13 @@ let suite =
       test_reap_before_quota;
     Alcotest.test_case "every request refusal is counted" `Quick
       test_failure_paths_counted;
+    Alcotest.test_case "a generator raise is a typed refusal" `Quick
+      test_generator_raise_is_a_refusal;
     Alcotest.test_case "server breaker trips and recovers" `Quick
       test_server_breaker_trips_and_recovers;
     Alcotest.test_case "chaos invariants hold across seeds" `Slow
       test_chaos_invariants;
     Alcotest.test_case "chaos replays are bit-identical" `Slow
       test_chaos_replay_bit_identical ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_shed_leaves_no_trace ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_shed_leaves_no_trace; prop_user_request_never_raises ]
