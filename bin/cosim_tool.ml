@@ -18,19 +18,6 @@ let network_of = function
   | "modem" -> Some Network.modem
   | _ -> None
 
-let split_eq what s =
-  match String.index_opt s '=' with
-  | Some i ->
-    Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  | None -> Error (Printf.sprintf "%s expects name=value, got %s" what s)
-
-let rec collect f = function
-  | [] -> Ok []
-  | x :: rest ->
-    (match f x with
-     | Error _ as e -> e
-     | Ok v -> Result.map (fun vs -> v :: vs) (collect f rest))
-
 let build_applet ip params =
   let applet =
     Applet.create ~ip ~license:(License.of_tier License.Evaluator)
@@ -67,40 +54,15 @@ let write_binary path contents =
     Ok ()
   with Sys_error m -> Error m
 
-(* --chaos: play one named scenario (co-simulation link, breakers and
-   all) against a fresh delivery stack and exit. Exit 0 only when every
-   recovery invariant held; 1 on a failed invariant; 2 for an unknown
-   scenario. *)
-let run_chaos name seed metrics_format =
-  match metrics_format with
-  | Some other when other <> "text" && other <> "json" ->
-    Printf.eprintf "cosim_tool: --metrics formats: text, json (got %s)\n" other;
-    2
-  | _ ->
-    (match Chaos.find_scenario name with
-     | None ->
-       Printf.eprintf "unknown scenario %s; choices: %s\n" name
-         (String.concat ", " (Chaos.scenario_names ()));
-       2
-     | Some scenario ->
-       let registry =
-         if Option.is_some metrics_format then Metrics.create "chaos"
-         else Metrics.nil
-       in
-       let report = Chaos.run ~metrics:registry ~seed scenario in
-       print_string (Chaos.report_to_text report);
-       (match metrics_format with
-        | Some "json" -> print_string (Metrics.all_to_json [ registry ])
-        | Some _ -> print_string (Metrics.all_to_text [ registry ])
-        | None -> ());
-       if Chaos.passed report then 0 else 1)
-
 let run ip_name params binds tb_path network_name fault_name fault_rate retries
     seed crash_at checkpoint_every resume_path checkpoint_path chaos
     metrics_format trace_last =
-  match chaos with
-  | Some name -> run_chaos name seed metrics_format
-  | None ->
+  match (chaos, metrics_format) with
+  | _, Some other when other <> "text" && other <> "json" ->
+    Printf.eprintf "cosim_tool: --metrics formats: text, json (got %s)\n" other;
+    2
+  | Some name, _ -> Cli_common.run_chaos name seed metrics_format
+  | None, _ ->
   match tb_path with
   | None ->
     Printf.eprintf "cosim_tool: --tb is required (unless running --chaos)\n";
@@ -108,12 +70,6 @@ let run ip_name params binds tb_path network_name fault_name fault_rate retries
   | Some tb_path ->
   let ( let* ) = Result.bind in
   let result =
-    let* () =
-      match metrics_format with
-      | None | Some "text" | Some "json" -> Ok ()
-      | Some other ->
-        Error (Printf.sprintf "--metrics formats: text, json (got %s)" other)
-    in
     let* () =
       if trace_last < 0 then Error "--trace must be non-negative" else Ok ()
     in
@@ -167,8 +123,8 @@ let run ip_name params binds tb_path network_name fault_name fault_rate retries
       else None
     in
     let retry = { Cosim.default_retry with Cosim.max_attempts = retries } in
-    let* params = collect (split_eq "--param") params in
-    let* binds = collect (split_eq "--bind") binds in
+    let* params = Cli_common.(collect (split_eq "--param")) params in
+    let* binds = Cli_common.(collect (split_eq "--bind")) binds in
     let bindings =
       List.map
         (fun (signal, port) -> { Verilog_tb.signal; box = "dut"; port })

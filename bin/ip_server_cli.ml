@@ -13,10 +13,11 @@
      log                            access log
      quit
 
-   `get` runs through the overload-aware path: an admission controller
-   and a download circuit breaker front the server, and rejections
-   carry retry-after hints. The console clock is deterministic (one
-   second per command). `--chaos SCENARIO` skips the console entirely
+   `get` and `secure` run through the overload-aware path: an admission
+   controller and a download circuit breaker front the server, and
+   rejections carry retry-after hints; `secure` then seals what
+   arrived. The console clock is deterministic (one second per serving
+   command). `--chaos SCENARIO` skips the console entirely
    and plays a seeded fault storm against a fresh delivery stack,
    exiting 0 only when every recovery invariant holds.              *)
 
@@ -61,8 +62,8 @@ type delivery = {
   policy : Download.fetch_policy;
 }
 
-(* the console's deterministic clock: one second per command, so the
-   breaker's probe schedule and retry-after hints replay exactly *)
+(* the console's deterministic clock: one second per serving command,
+   so the breaker's probe schedule and retry-after hints replay exactly *)
 let console_clock = ref 0.0
 
 let handle server admission delivery registry tracer line =
@@ -70,6 +71,23 @@ let handle server admission delivery registry tracer line =
     match tracer with
     | Some tr -> Metrics.trace tr ?value label
     | None -> ()
+  in
+  (* `get` and `secure` share one path: the overload-aware front door
+     on the console clock, then the command's own display *)
+  let serve ~user ~ip_name ~link command k =
+    let now = !console_clock in
+    console_clock := now +. 1.0;
+    match
+      Server.user_request server ~admission ~now ~user ~ip_name ~link
+        ?faults:delivery.faults ~policy:delivery.policy ()
+    with
+    | Ok session -> k session
+    | Error rejection ->
+      trace (command ^ "_error");
+      print_endline ("ERROR: " ^ rejection.Server.rej_reason);
+      (match rejection.Server.rej_retry_after_s with
+       | Some s -> Printf.printf "retry after %.1f s\n" s
+       | None -> ())
   in
   let words =
     String.split_on_char ' ' (String.trim line)
@@ -105,39 +123,21 @@ let handle server admission delivery registry tracer line =
     (match link_of link_name with
      | None -> print_endline "links: modem, isdn, dsl, lan10, lan100"
      | Some link ->
-       let now = !console_clock in
-       console_clock := now +. 1.0;
-       (match
-          Server.user_request server ~admission ~now ~user ~ip_name ~link
-            ?faults:delivery.faults ~policy:delivery.policy ()
-        with
-        | Ok session ->
-          trace "request_ok" ~value:(List.length session.Server.fetched);
-          show_session session
-        | Error rejection ->
-          trace "request_error";
-          print_endline ("ERROR: " ^ rejection.Server.rej_reason);
-          (match rejection.Server.rej_retry_after_s with
-           | Some s -> Printf.printf "retry after %.1f s\n" s
-           | None -> ())))
+       serve ~user ~ip_name ~link "request" (fun session ->
+         trace "request_ok" ~value:(List.length session.Server.fetched);
+         show_session session))
   | [ "secure"; user; ip_name ] ->
-    (match
-       Server.secure_request server ~user ~ip_name ~link:Download.dsl_1m
-         ?faults:delivery.faults ~policy:delivery.policy ()
-     with
-     | Ok (session, sealed) ->
-       trace "secure_ok" ~value:(List.length sealed);
-       show_session session;
-       List.iter
-         (fun s ->
-            Printf.printf "  sealed %s (%d bytes, digest %s)\n"
-              s.Secure_channel.jar_name
-              (String.length s.Secure_channel.ciphertext)
-              s.Secure_channel.digest)
-         sealed
-     | Error message ->
-       trace "secure_error";
-       print_endline ("ERROR: " ^ message))
+    serve ~user ~ip_name ~link:Download.dsl_1m "secure" (fun session ->
+      let sealed = Server.seal server session in
+      trace "secure_ok" ~value:(List.length sealed);
+      show_session session;
+      List.iter
+        (fun s ->
+           Printf.printf "  sealed %s (%d bytes, digest %s)\n"
+             s.Secure_channel.jar_name
+             (String.length s.Secure_channel.ciphertext)
+             s.Secure_channel.digest)
+        sealed)
   | [ "log" ] ->
     List.iter (fun l -> print_endline ("  " ^ l)) (Server.access_log server)
   | [ "metrics" ] ->
@@ -182,28 +182,6 @@ let seed_arg =
     value & opt int 0
     & info [ "seed" ] ~doc:"Fault-stream seed (same seed, same faults).")
 
-(* --chaos: play one named scenario against a fresh stack and exit.
-   Exit 0 only when every recovery invariant held; 1 on a failed
-   invariant; 2 for an unknown scenario. *)
-let run_chaos name seed metrics_format =
-  match Chaos.find_scenario name with
-  | None ->
-    Printf.eprintf "unknown scenario %s; choices: %s\n" name
-      (String.concat ", " (Chaos.scenario_names ()));
-    2
-  | Some scenario ->
-    let registry =
-      if Option.is_some metrics_format then Metrics.create "chaos"
-      else Metrics.nil
-    in
-    let report = Chaos.run ~metrics:registry ~seed scenario in
-    print_string (Chaos.report_to_text report);
-    (match metrics_format with
-     | Some "json" -> print_string (Metrics.all_to_json [ registry ])
-     | Some _ -> print_string (Metrics.all_to_text [ registry ])
-     | None -> ());
-    if Chaos.passed report then 0 else 1
-
 let run vendor fault_name fault_rate retries seed chaos metrics_format
     trace_last cache_cap =
   match Fault.kind_of_string fault_name with
@@ -217,7 +195,7 @@ let run vendor fault_name fault_rate retries seed chaos metrics_format
     prerr_endline "--metrics formats: text, json";
     2
   | Some _ when Option.is_some chaos ->
-    run_chaos (Option.get chaos) seed metrics_format
+    Cli_common.run_chaos (Option.get chaos) seed metrics_format
   | Some _ when cache_cap < 1 ->
     prerr_endline "--cache-cap must be at least 1";
     2

@@ -9,12 +9,8 @@ open Jhdl
 let parse_command line =
   let line = String.trim line in
   let split_eq s =
-    match String.index_opt s '=' with
-    | Some i ->
-      Some
-        (String.trim (String.sub s 0 i),
-         String.trim (String.sub s (i + 1) (String.length s - i - 1)))
-    | None -> None
+    Result.to_option (Cli_common.split_eq "set" s)
+    |> Option.map (fun (k, v) -> (String.trim k, String.trim v))
   in
   let words = String.split_on_char ' ' line |> List.filter (fun w -> w <> "") in
   match words with

@@ -9,43 +9,6 @@
 open Jhdl
 open Cmdliner
 
-let build_design ip params =
-  let split_param p =
-    match String.index_opt p '=' with
-    | Some i ->
-      Ok (String.sub p 0 i, String.sub p (i + 1) (String.length p - i - 1))
-    | None -> Error (Printf.sprintf "--param expects name=value, got %s" p)
-  in
-  let rec split_all acc = function
-    | [] -> Ok (List.rev acc)
-    | p :: rest ->
-      (match split_param p with
-       | Ok v -> split_all (v :: acc) rest
-       | Error _ as e -> e)
-  in
-  let parse (name, text) =
-    match List.assoc_opt name ip.Ip_module.params with
-    | None -> Error (Printf.sprintf "unknown parameter %s" name)
-    | Some kind ->
-      Result.map (fun v -> (name, v)) (Ip_module.parse_param kind text)
-  in
-  let rec parse_all acc = function
-    | [] -> Ok (List.rev acc)
-    | p :: rest ->
-      (match parse p with
-       | Ok v -> parse_all (v :: acc) rest
-       | Error _ as e -> e)
-  in
-  match Result.bind (split_all [] params) (parse_all []) with
-  | Error message -> Error message
-  | Ok assignment ->
-    (match Ip_module.validate ip assignment with
-     | Error message -> Error message
-     | Ok complete ->
-       (match ip.Ip_module.build complete with
-        | built -> Ok built.Ip_module.design
-        | exception Invalid_argument message -> Error message))
-
 (* a deliberately broken design exercising the three analysis families:
    a doubly-driven net, a LUT-gated clock and a cone of dead logic *)
 let broken_design () =
@@ -180,32 +143,26 @@ let run_lint all broken ip_name params json rules_only deep fail_on disabled
            let raw_reports =
              if broken then Ok [ lint (broken_design ()) ]
              else if all then
-               (match cache with
-                | Some store ->
-                  (* content-addressed by generator invocation: the
-                     verdict store skips elaboration on a repeat *)
-                  let rec go acc = function
-                    | [] -> Ok (List.rev acc)
-                    | ip :: rest ->
-                      (match Catalog.lint_verdict ~cache:store ip with
-                       | Ok r -> go (r :: acc) rest
-                       | Error e ->
-                         Error (Catalog.elaboration_error_to_string e))
-                  in
-                  go [] Catalog.all
-                | None ->
-                  Ok
-                    (List.map
-                       (fun ip ->
-                          lint
-                            (ip.Ip_module.build (Ip_module.defaults ip))
-                              .Ip_module.design)
-                       Catalog.all))
+               Cli_common.collect
+                 (fun ip ->
+                    match cache with
+                    | Some store ->
+                      (* content-addressed by generator invocation: the
+                         verdict store skips elaboration on a repeat *)
+                      Result.map_error Catalog.elaboration_error_to_string
+                        (Catalog.lint_verdict ~cache:store ip)
+                    | None ->
+                      Result.map
+                        (fun built -> lint built.Ip_module.design)
+                        (Cli_common.elaborate ip []))
+                 Catalog.all
              else
                (match Catalog.find ip_name with
                 | None -> Error (Printf.sprintf "unknown IP %s" ip_name)
                 | Some ip ->
-                  Result.map (fun d -> [ lint d ]) (build_design ip params))
+                  Result.map
+                    (fun built -> [ lint built.Ip_module.design ])
+                    (Cli_common.elaborate ip params))
            in
            (match raw_reports with
             | Error message -> Error message

@@ -8,45 +8,7 @@
 open Jhdl
 open Cmdliner
 
-let build_design ip params =
-  let parse (name, text) =
-    match List.assoc_opt name ip.Ip_module.params with
-    | None -> Error (Printf.sprintf "unknown parameter %s" name)
-    | Some kind ->
-      Result.map (fun v -> (name, v)) (Ip_module.parse_param kind text)
-  in
-  let rec parse_all acc = function
-    | [] -> Ok (List.rev acc)
-    | p :: rest ->
-      (match parse p with
-       | Ok v -> parse_all (v :: acc) rest
-       | Error _ as e -> e)
-  in
-  match parse_all [] params with
-  | Error message -> Error message
-  | Ok assignment ->
-    (match Ip_module.validate ip assignment with
-     | Error message -> Error message
-     | Ok complete ->
-       (match ip.Ip_module.build complete with
-        | built -> Ok built
-        | exception Invalid_argument message -> Error message))
-
 let run ip_name format_name params output watermark_vendor =
-  let split_param p =
-    match String.index_opt p '=' with
-    | Some i ->
-      Ok
-        (String.sub p 0 i, String.sub p (i + 1) (String.length p - i - 1))
-    | None -> Error (Printf.sprintf "--param expects name=value, got %s" p)
-  in
-  let rec split_all acc = function
-    | [] -> Ok (List.rev acc)
-    | p :: rest ->
-      (match split_param p with
-       | Ok v -> split_all (v :: acc) rest
-       | Error _ as e -> e)
-  in
   let result =
     match Catalog.find ip_name with
     | None -> Error (Printf.sprintf "unknown IP %s" ip_name)
@@ -54,19 +16,16 @@ let run ip_name format_name params output watermark_vendor =
       (match Format_kind.of_string format_name with
        | None -> Error (Printf.sprintf "unknown format %s" format_name)
        | Some fmt ->
-         (match split_all [] params with
+         (match Cli_common.elaborate ip params with
           | Error message -> Error message
-          | Ok params ->
-            (match build_design ip params with
-             | Error message -> Error message
-             | Ok built ->
-               let design = built.Ip_module.design in
-               (match watermark_vendor with
-                | Some vendor ->
-                  let _ = Watermark.embed design ~vendor () in
-                  ()
-                | None -> ());
-               Ok (Format_kind.write fmt (Model.of_design design)))))
+          | Ok built ->
+            let design = built.Ip_module.design in
+            (match watermark_vendor with
+             | Some vendor ->
+               let _ = Watermark.embed design ~vendor () in
+               ()
+             | None -> ());
+            Ok (Format_kind.write fmt (Model.of_design design))))
   in
   match result with
   | Error message ->

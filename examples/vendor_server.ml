@@ -37,16 +37,21 @@ let () =
   print_endline (License.feature_matrix ());
 
   print_endline "== three customers request the KCM page ==";
-  let link = Download.dsl_1m in
+  let request ~user =
+    Result.map_error
+      (fun rejection -> rejection.Server.rej_reason)
+      (Server.user_request server ~now:0.0 ~user ~ip_name:"VirtexKCMMultiplier"
+         ~link:Download.dsl_1m ())
+  in
   List.iter
     (fun user ->
-       match Server.request server ~user ~ip_name:"VirtexKCMMultiplier" ~link () with
+       match request ~user with
        | Ok session -> show_session user session
        | Error message -> Printf.printf "%s -> ERROR %s\n" user message)
     [ "browser-bob"; "eval-eve"; "paid-pat" ];
 
   print_endline "== the passive applet really is passive ==";
-  (match Server.request server ~user:"browser-bob" ~ip_name:"VirtexKCMMultiplier" ~link () with
+  (match request ~user:"browser-bob" with
    | Error message -> print_endline message
    | Ok session ->
      let applet = session.Server.applet in
@@ -62,7 +67,7 @@ let () =
   print_endline "== vendor publishes a KCM update; pat revisits ==";
   let v = Server.publish server Catalog.kcm in
   Printf.printf "republished VirtexKCMMultiplier as v%d\n" v;
-  (match Server.request server ~user:"paid-pat" ~ip_name:"VirtexKCMMultiplier" ~link () with
+  (match request ~user:"paid-pat" with
    | Ok session ->
      Printf.printf "pat re-fetched only: %s (%.2f s)\n"
        (String.concat ", "

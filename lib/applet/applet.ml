@@ -83,6 +83,7 @@ let create ~ip ~license ~user ?meter () =
     state = None }
 
 let ip t = t.applet_ip
+let user t = t.user
 let license t = t.applet_license
 let features t = t.applet_license.License.features
 let jar_components t = Feature.components (features t)
@@ -131,9 +132,9 @@ let do_build t () =
   | Error message -> Error message
   | Ok assignment ->
     t.params <- assignment;
-    (match t.applet_ip.Ip_module.build assignment with
-     | exception Invalid_argument message -> Error ("generator: " ^ message)
-     | built ->
+    (match Catalog.elaborate t.applet_ip assignment with
+     | Error e -> Error (Catalog.elaboration_error_to_string e)
+     | Ok built ->
        let sim =
          if granted t Feature.Simulator_tool then begin
            let clock =
@@ -217,14 +218,11 @@ let exec t command =
          ^ String.concat "\n" current))
   | Set_param (name, text) ->
     require t Feature.Generator_interface (fun () ->
-      match List.assoc_opt name t.applet_ip.Ip_module.params with
-      | None -> Error (Printf.sprintf "unknown parameter %s" name)
-      | Some kind ->
-        (match Ip_module.parse_param kind text with
-         | Error message -> Error message
-         | Ok value ->
-           t.params <- (name, value) :: List.remove_assoc name t.params;
-           Ok (Printf.sprintf "%s = %s" name (Ip_module.param_to_string value))))
+      match Ip_module.parse_field t.applet_ip name text with
+      | Error message -> Error message
+      | Ok value ->
+        t.params <- (name, value) :: List.remove_assoc name t.params;
+        Ok (Printf.sprintf "%s = %s" name (Ip_module.param_to_string value)))
   | Build ->
     require t Feature.Generator_interface (fun () ->
       meter t Metering.Build (do_build t))

@@ -48,6 +48,9 @@ val create :
   t
 
 val ip : t -> Ip_module.t
+
+(** [user t] — the customer the executable was assembled for. *)
+val user : t -> string
 val license : t -> License.t
 
 (** [features t] — tools actually linked in. *)

@@ -96,6 +96,21 @@ let parse_param kind s =
     if List.mem v choices then Ok (Choice_value v)
     else Error (Printf.sprintf "%s not one of {%s}" v (String.concat ", " choices))
 
+let parse_field t name text =
+  match List.assoc_opt name t.params with
+  | None -> Error (Printf.sprintf "unknown parameter %s" name)
+  | Some kind -> parse_param kind text
+
+let parse_params t fields =
+  let rec go acc = function
+    | [] -> validate t (List.rev acc)
+    | (name, text) :: rest ->
+      (match parse_field t name text with
+       | Error message -> Error message
+       | Ok value -> go ((name, value) :: acc) rest)
+  in
+  go [] fields
+
 let form t =
   let buffer = Buffer.create 256 in
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer s) fmt in

@@ -57,6 +57,17 @@ val param_to_string : param_value -> string
 (** [parse_param kind s] parses a form-field string per the schema. *)
 val parse_param : param_kind -> string -> (param_value, string) result
 
+(** [parse_field t name s] — {!parse_param} for [t]'s field [name];
+    a name outside the schema is an error. *)
+val parse_field : t -> string -> string -> (param_value, string) result
+
+(** [parse_params t fields] — the one way form fields enter a
+    generator: each (name, text) field is parsed with {!parse_field},
+    then {!validate} fills the defaults, so the result is the complete
+    canonical assignment [build] expects. *)
+val parse_params :
+  t -> (string * string) list -> ((string * param_value) list, string) result
+
 (** [form t] renders the parameter form (name, kind, range, default). *)
 val form : t -> string
 

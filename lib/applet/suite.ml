@@ -44,8 +44,6 @@ let find t name =
     (fun e -> String.lowercase_ascii e.ip.Ip_module.ip_name = lower)
     t.entries
 
-let applet_of t name = Option.map (fun e -> e.applet) (find t name)
-
 let exec t command =
   match command with
   | List_ips ->

@@ -32,9 +32,5 @@ val create :
 
 val selected : t -> Ip_module.t
 
-(** [applet_of t name] — the per-IP applet, for tools layered on top;
-    [None] for names outside the suite. *)
-val applet_of : t -> string -> Applet.t option
-
 val exec : t -> command -> (string, string) result
 val run_script : t -> command list -> string

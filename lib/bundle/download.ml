@@ -24,6 +24,7 @@ let setup_seconds link = 4.0 *. link.latency_s
 
 let payload_seconds link bytes = bytes *. 8.0 /. link.bandwidth_bits_per_s
 
+(* one jar: TCP-ish setup plus compressed payload over bandwidth *)
 let jar_seconds link jar =
   let bytes = float_of_int (Jar.compressed_size jar) in
   setup_seconds link +. payload_seconds link bytes

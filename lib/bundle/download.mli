@@ -21,10 +21,6 @@ val lan_100m : link
 
 val link_name : link -> string
 
-(** [jar_seconds link jar] — time for one jar: TCP-ish setup (2 RTTs)
-    plus compressed payload over bandwidth. *)
-val jar_seconds : link -> Jar.t -> float
-
 (** [jars_seconds link jars] — sequential HTTP/1.0 fetches. *)
 val jars_seconds : link -> Jar.t list -> float
 

@@ -9,6 +9,10 @@ type 'design t = {
   bundles : Jhdl_bundle.Jar.t list Store.t;
 }
 
+(* version tag of the primitive library the generators elaborate
+   against; part of every generator-keyed descriptor, so a tech-library
+   upgrade invalidates the whole cache instead of serving stale
+   netlists *)
 let tech_library_version = "virtex-1"
 
 let sum_stats (stores : Store.stats list) =
@@ -79,6 +83,11 @@ let generator_descriptor ~generator ~params =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) params);
   Buffer.contents b
 
+(* content address of an artifact derived from an elaborated design:
+   [kind] (e.g. "lint", "netlist:edif") prefixed onto the full
+   [Snapshot.descriptor], so distinct artifact classes of one design
+   can never alias and a descriptor match still implies structural
+   identity *)
 let artifact_descriptor ~kind design =
   kind ^ "\x00" ^ Snapshot.descriptor design
 

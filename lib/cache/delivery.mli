@@ -20,12 +20,6 @@ type 'design t = {
   bundles : Jhdl_bundle.Jar.t list Store.t;  (** jar sets *)
 }
 
-(** Version tag of the primitive library the generators elaborate
-    against; part of every generator-keyed descriptor, so a tech-library
-    upgrade invalidates the whole cache instead of serving stale
-    netlists. *)
-val tech_library_version : string
-
 (** [create ?metrics ?name ~cap_entries ~cap_bytes ()] — four stores,
     each bounded by [cap_entries]/[cap_bytes]. A live [metrics] registry
     gains aggregate probes summed across the classes
@@ -47,14 +41,6 @@ val create :
     parameter name so argument order cannot split the cache. *)
 val generator_descriptor :
   generator:string -> params:(string * string) list -> string
-
-(** [artifact_descriptor ~kind design] — content address of an artifact
-    derived from an elaborated design: [kind] (e.g. ["lint"],
-    ["netlist:edif"]) prefixed onto the full
-    {!Jhdl_sim.Snapshot.descriptor}, so distinct artifact classes of
-    one design can never alias and a descriptor match still implies
-    structural identity. *)
-val artifact_descriptor : kind:string -> Jhdl_circuit.Design.t -> string
 
 (** [verdict t ~now design build] — the cached lint report for
     [design], running [build] on a miss. *)

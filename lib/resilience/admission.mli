@@ -25,8 +25,6 @@ type request_class =
   | Elaborate  (** publish / republish: lint-gated elaboration *)
   | Cosim_exchange  (** black-box co-simulation traffic *)
 
-val all_classes : request_class list
-val class_name : request_class -> string
 
 (** The brownout ladder, in degradation order. *)
 type brownout_level =
@@ -70,7 +68,6 @@ type config = {
 }
 
 val default_config : config
-val class_config : config -> request_class -> class_config
 
 (** An admitted request. The ticket is the unit of accounting: it must
     eventually reach {!complete} or {!give_up}. *)
@@ -103,12 +100,10 @@ type t
 val create : ?config:config -> ?metrics:Jhdl_metrics.Metrics.t -> unit -> t
 
 val config : t -> config
-val queue_depth : t -> request_class -> int
 
-(** [occupancy t] — total queued over total queue capacity, in [0, 1]. *)
-val occupancy : t -> float
-
-(** [brownout t] — the ladder rung the current occupancy selects. *)
+(** [brownout t] — the ladder rung the current occupancy selects: the
+    total queued over the total queue capacity, against the config's
+    thresholds. *)
 val brownout : t -> brownout_level
 
 (** [submit t ~now ~cls ~tier ~user ?deadline_s ()] — enqueue one

@@ -143,6 +143,5 @@ let on_failure t ~now =
   | Half_open -> trip t ~now
   | Open -> schedule_probe t ~now
 
-let transitions t = List.length t.transition_log
 let times_opened t = t.opened_count
 let history t = List.rev t.transition_log

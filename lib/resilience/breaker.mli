@@ -68,9 +68,6 @@ val retry_after_s : t -> now:float -> float option
 val on_success : t -> now:float -> unit
 val on_failure : t -> now:float -> unit
 
-(** [transitions t] — state changes since creation. *)
-val transitions : t -> int
-
 (** [times_opened t] — how often the breaker tripped. *)
 val times_opened : t -> int
 

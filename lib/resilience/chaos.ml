@@ -412,7 +412,7 @@ let apply_events w ~now phase =
          for i = 0 to n - 1 do
            let user = Printf.sprintf "storm-%d" (i mod 3) in
            ignore
-             (Session_manager.try_open_session w.sm ~user ~now
+             (Session_manager.open_session w.sm ~user ~now
                 w.storm_endpoint)
          done
        | Republish ->

@@ -42,8 +42,6 @@ type event =
   | Republish
       (** an [Elaborate] republication of the catalog rides the load *)
 
-val event_name : event -> string
-
 type phase = {
   label : string;
   duration_s : float;

@@ -195,22 +195,6 @@ let component_of_jar jar =
     (fun c -> (Partition.jar_of c).Jar.jar_name = jar.Jar.jar_name)
     Partition.all_components
 
-(* parse and validate form-field parameter strings against the IP's
-   schema; the result is the complete canonical assignment [build]
-   expects *)
-let parse_params ip fields =
-  let rec go acc = function
-    | [] -> Ip_module.validate ip (List.rev acc)
-    | (pname, text) :: rest ->
-      (match List.assoc_opt pname ip.Ip_module.params with
-       | None -> Error (Printf.sprintf "unknown parameter %s" pname)
-       | Some kind ->
-         (match Ip_module.parse_param kind text with
-          | Error message -> Error (Printf.sprintf "%s: %s" pname message)
-          | Ok value -> go ((pname, value) :: acc) rest))
-  in
-  go [] fields
-
 (* server-side elaboration of a parameterized request: the built module
    and its EDIF export are both content-addressed by the generator
    invocation, so repeat requests at the same parameter point skip
@@ -246,157 +230,148 @@ let elaborate_cached server ~now entry assignment =
            (fun () -> Edif.of_design built.Ip_module.design) ))
     built
 
-let request_inner server ?(stale_ok = false) ?(now = 0.) ?params ~user
-    ~ip_name ~link ?faults ?policy () =
-  match Hashtbl.find_opt server.accounts user with
-  | None -> Error (Printf.sprintf "unknown user %s" user)
-  | Some account ->
-    (match List.assoc_opt ip_name server.entries with
-     | None -> Error (Printf.sprintf "no IP named %s on this server" ip_name)
-     | Some entry ->
-       let license = License.of_tier account.tier in
-       let applet =
-         Applet.create ~ip:entry.ip ~license ~user ()
-       in
-       (* parameterized requests elaborate server-side before anything
-          ships; both the build and its export come from the delivery
-          cache *)
-       let elaborated_result =
-         match params with
-         | None -> Ok None
-         | Some fields ->
-           (match parse_params entry.ip fields with
-            | Error message ->
-              Error
-                (Printf.sprintf "bad parameters for %s: %s" ip_name message)
-            | Ok assignment ->
-              (match elaborate_cached server ~now entry assignment with
-               | Ok elaborated -> Ok (Some elaborated)
-               | Error e -> Error (Catalog.elaboration_error_to_string e)))
-       in
-       match elaborated_result with
-       | Error message -> Error message
-       | Ok elaborated ->
-       let components = Applet.jar_components applet in
-       (* the jar set for a component/version mix is itself a delivery
-          artifact: repeat sessions share one bundle entry *)
-       let bundle_descriptor =
-         "bundle:"
-         ^ String.concat ","
-             (List.map
-                (fun c ->
-                   Printf.sprintf "%s@v%d" (Partition.component_name c)
-                     (Hashtbl.find server.component_versions c))
-                components)
-       in
-       let jars =
-         Store.find_or_add server.delivery.Delivery.bundles ~now
-           ~descriptor:bundle_descriptor
-           ~bytes:(fun jars ->
-             List.fold_left (fun acc j -> acc + Jar.compressed_size j) 0 jars)
-           (fun () -> Partition.jars_for components)
-       in
-       let evicted = ref [] in
-       let fetched_components =
-         List.filter
-           (fun component ->
-              let current = Hashtbl.find server.component_versions component in
-              let descriptor = component_descriptor component in
-              (* under the serve-stale brownout rung, any cached version
-                 answers the request — the customer gets a possibly
-                 outdated jar instantly instead of queueing on a
-                 saturated download path *)
-              let miss, record_version =
-                match Store.peek account.cache ~descriptor with
-                | Some cached when cached = current -> (false, current)
-                | Some cached when stale_ok -> (false, cached)
-                | Some _ | None -> (true, current)
-              in
-              Metrics.incr
-                (if miss then server.sm.sm_cache_misses
-                 else server.sm.sm_cache_hits);
-              (* hits refresh recency (stale hits keep their stale
-                 version, so full service refetches later); misses enter
-                 at the front, and a full cache drops its least recently
-                 used entry *)
-              if miss then begin
-                let dropped =
-                  Store.add account.cache ~now ~descriptor ~bytes:0
-                    record_version
-                in
-                Metrics.add server.sm.sm_cache_evictions
-                  (List.length dropped);
-                evicted := !evicted @ List.map component_of_name dropped
-              end
-              else
-                ignore (Store.find account.cache ~now ~descriptor : int option);
-              miss)
-           components
-       in
-       let fetched = Partition.jars_for fetched_components in
-       let fetches =
-         Download.fetch_jars ?faults ?policy ~metrics:server.sm.sm_download
-           link fetched
-       in
-       let failed = Download.fetch_failures fetches in
-       let failed_components = List.filter_map component_of_jar failed in
-       (* a failed transfer must not poison the cache: the revisit
-          re-fetches the component instead of assuming it is present *)
-       List.iter
-         (fun c ->
-            ignore
-              (Store.remove account.cache
-                 ~descriptor:(component_descriptor c)
-                : bool))
-         failed_components;
-       let download_seconds = Download.fetch_total_seconds fetches in
-       let fetch_attempts = Download.fetch_attempts fetches in
-       Metrics.observe server.sm.sm_download_ms
-         (int_of_float (download_seconds *. 1e3));
-       if List.exists (fun c -> List.mem c essential_components) failed_components
-       then
-         Error
-           (Printf.sprintf "download failed for %s: %s did not arrive"
-              ip_name
-              (String.concat ", " (List.map (fun j -> j.Jar.jar_name) failed)))
-       else begin
-         (* the page still loads: tools whose jars never arrived are
-            greyed out, everything else works *)
-         let unavailable =
-           List.filter
-             (fun feature ->
-                List.exists
-                  (fun c -> List.mem c failed_components)
-                  (Feature.components [ feature ]))
-             (Applet.features applet)
-         in
-         Log.info (fun m ->
-           m "GET /applets/%s for %s (%s)" ip_name user
-             (License.tier_name account.tier));
-         log_line server
-           (Printf.sprintf "%s GET /applets/%s v%d (%s license, %d jar(s), %.1f s)"
-              user ip_name entry.version
-              (License.tier_name account.tier)
-              (List.length fetched) download_seconds);
-         Ok
-           { applet; version = entry.version; jars; fetched; failed;
-             unavailable; evicted = !evicted; elaborated; fetch_attempts;
-             download_seconds }
-       end)
+(* Where a request that got no page stopped: before its download (an
+   unknown IP, a malformed form, a generator refusal) or in it (an
+   essential jar never arrived). Only the second says anything about
+   the download path, so only it reaches the breaker. *)
+type refusal =
+  | Refused of string
+  | Lost of string
 
-let request server ?now ?params ~user ~ip_name ~link ?faults ?policy () =
-  Metrics.incr server.sm.sm_requests;
-  let result =
-    request_inner server ?now ?params ~user ~ip_name ~link ?faults ?policy ()
-  in
-  (match result with
-   | Error _ -> Metrics.incr server.sm.sm_request_failures
-   | Ok _ -> ());
-  result
-
-(* ------------------------------------------------------------------ *)
-(* overload-aware request path                                         *)
-(* ------------------------------------------------------------------ *)
+let page server account ~stale_ok ~now ?params ~user ~ip_name ~link ?faults
+    ?policy () =
+  match List.assoc_opt ip_name server.entries with
+  | None -> Error (Refused (Printf.sprintf "no IP named %s on this server" ip_name))
+  | Some entry ->
+    (* parameterized requests elaborate server-side before anything
+       ships; both the build and its export come from the delivery
+       cache *)
+    let elaborated =
+      match params with
+      | None -> Ok None
+      | Some fields ->
+        (match Ip_module.parse_params entry.ip fields with
+         | Error message ->
+           Error (Printf.sprintf "bad parameters for %s: %s" ip_name message)
+         | Ok assignment ->
+           (match elaborate_cached server ~now entry assignment with
+            | Ok elaborated -> Ok (Some elaborated)
+            | Error e -> Error (Catalog.elaboration_error_to_string e)))
+    in
+    match elaborated with
+    | Error message -> Error (Refused message)
+    | Ok elaborated ->
+      let applet =
+        Applet.create ~ip:entry.ip ~license:(License.of_tier account.tier)
+          ~user ()
+      in
+      let components = Applet.jar_components applet in
+      (* the jar set for a component/version mix is itself a delivery
+         artifact: repeat sessions share one bundle entry *)
+      let bundle_descriptor =
+        "bundle:"
+        ^ String.concat ","
+            (List.map
+               (fun c ->
+                  Printf.sprintf "%s@v%d" (Partition.component_name c)
+                    (Hashtbl.find server.component_versions c))
+               components)
+      in
+      let jars =
+        Store.find_or_add server.delivery.Delivery.bundles ~now
+          ~descriptor:bundle_descriptor
+          ~bytes:(fun jars ->
+            List.fold_left (fun acc j -> acc + Jar.compressed_size j) 0 jars)
+          (fun () -> Partition.jars_for components)
+      in
+      let evicted = ref [] in
+      let fetched_components =
+        List.filter
+          (fun component ->
+             let current = Hashtbl.find server.component_versions component in
+             let descriptor = component_descriptor component in
+             (* under the serve-stale brownout rung, any cached version
+                answers the request — the customer gets a possibly
+                outdated jar instantly instead of queueing on a
+                saturated download path *)
+             let miss, record_version =
+               match Store.peek account.cache ~descriptor with
+               | Some cached when cached = current -> (false, current)
+               | Some cached when stale_ok -> (false, cached)
+               | Some _ | None -> (true, current)
+             in
+             Metrics.incr
+               (if miss then server.sm.sm_cache_misses
+                else server.sm.sm_cache_hits);
+             (* hits refresh recency (stale hits keep their stale
+                version, so full service refetches later); misses enter
+                at the front, and a full cache drops its least recently
+                used entry *)
+             if miss then begin
+               let dropped =
+                 Store.add account.cache ~now ~descriptor ~bytes:0
+                   record_version
+               in
+               Metrics.add server.sm.sm_cache_evictions
+                 (List.length dropped);
+               evicted := !evicted @ List.map component_of_name dropped
+             end
+             else
+               ignore (Store.find account.cache ~now ~descriptor : int option);
+             miss)
+          components
+      in
+      let fetched = Partition.jars_for fetched_components in
+      let fetches =
+        Download.fetch_jars ?faults ?policy ~metrics:server.sm.sm_download
+          link fetched
+      in
+      let failed = Download.fetch_failures fetches in
+      let failed_components = List.filter_map component_of_jar failed in
+      (* a failed transfer must not poison the cache: the revisit
+         re-fetches the component instead of assuming it is present *)
+      List.iter
+        (fun c ->
+           ignore
+             (Store.remove account.cache
+                ~descriptor:(component_descriptor c)
+               : bool))
+        failed_components;
+      let download_seconds = Download.fetch_total_seconds fetches in
+      let fetch_attempts = Download.fetch_attempts fetches in
+      Metrics.observe server.sm.sm_download_ms
+        (int_of_float (download_seconds *. 1e3));
+      if List.exists (fun c -> List.mem c essential_components) failed_components
+      then
+        Error
+          (Lost
+             (Printf.sprintf "download failed for %s: %s did not arrive"
+                ip_name
+                (String.concat ", " (List.map (fun j -> j.Jar.jar_name) failed))))
+      else begin
+        (* the page still loads: tools whose jars never arrived are
+           greyed out, everything else works *)
+        let unavailable =
+          List.filter
+            (fun feature ->
+               List.exists
+                 (fun c -> List.mem c failed_components)
+                 (Feature.components [ feature ]))
+            (Applet.features applet)
+        in
+        Log.info (fun m ->
+          m "GET /applets/%s for %s (%s)" ip_name user
+            (License.tier_name account.tier));
+        log_line server
+          (Printf.sprintf "%s GET /applets/%s v%d (%s license, %d jar(s), %.1f s)"
+             user ip_name entry.version
+             (License.tier_name account.tier)
+             (List.length fetched) download_seconds);
+        Ok
+          { applet; version = entry.version; jars; fetched; failed;
+            unavailable; evicted = !evicted; elaborated; fetch_attempts;
+            download_seconds }
+      end
 
 type rejection = {
   rej_reason : string;
@@ -406,132 +381,122 @@ type rejection = {
 
 let breaker server = server.breaker
 
-let reject ?(count = true) server ?retry_after_s ?shed reason =
-  if count then Metrics.incr server.sm.sm_request_failures;
+let reject server ?retry_after_s ?shed reason =
+  Metrics.incr server.sm.sm_request_failures;
   Error
     { rej_reason = reason;
       rej_retry_after_s = retry_after_s;
       rej_shed = shed }
 
-(* The post-admission service path, shared by the synchronous front
-   door ({!user_request}) and the queued dispatcher
-   ({!serve_admitted}). [adm_ticket] is an already-admitted ticket
-   whose accounting this function closes (complete, or give up as
+(* How a request holds its admission slot: it has none (no
+   controller), asks for one now (with its deadline), or was started by
+   a queued dispatcher. *)
+type admit =
+  | Unmetered
+  | Admit_now of Admission.t * float option
+  | Admitted of Admission.t * Admission.ticket
+
+(* The one request path: {!user_request} and {!serve_admitted} differ
+   only in the [admit] they pass. The account is looked up once, and a
+   ticket's accounting is always closed here (complete, or give up as
    [Breaker_open] when the circuit refuses the call). *)
-let serve_with server ?adm_ticket ?params ~now ~user ~ip_name ~link ?faults
-    ?policy () =
-  let stale_ok =
-    match adm_ticket with
-    | Some (adm, _) -> Admission.brownout adm = Admission.Serve_stale
-    | None -> false
-  in
-  (* the breaker guards the whole download path: while open, the
-     request fails fast without touching the link *)
-  match server.breaker with
-  | Some b when not (Breaker.allow b ~now) ->
-    (match adm_ticket with
-     | Some (adm, tk) ->
-       Admission.give_up adm ~now tk Admission.Breaker_open
-         ?retry_after_s:(Breaker.retry_after_s b ~now) ()
-     | None -> ());
-    reject server ?retry_after_s:(Breaker.retry_after_s b ~now)
-      ~shed:Admission.Breaker_open
-      (Printf.sprintf "downloads suspended (circuit %s open)"
-         (Breaker.name b))
-  | _ ->
-    let result =
-      request_inner server ~stale_ok ~now ?params ~user ~ip_name ~link ?faults
-        ?policy ()
+let serve server admit ?params ~now ~user ~ip_name ~link ?faults ?policy () =
+  Metrics.incr server.sm.sm_requests;
+  match Hashtbl.find_opt server.accounts user with
+  | None ->
+    (match admit with
+     | Admitted (adm, tk) -> Admission.complete adm ~now tk
+     | Unmetered | Admit_now _ -> ());
+    reject server (Printf.sprintf "unknown user %s" user)
+  | Some account ->
+    (* admission first: shedding must cost nothing downstream *)
+    let ticket =
+      match admit with
+      | Unmetered -> Ok None
+      | Admitted (adm, tk) -> Ok (Some (adm, tk))
+      | Admit_now (adm, deadline_s) ->
+        Result.map
+          (fun tk -> Some (adm, tk))
+          (Admission.admit_now adm ~now ~cls:Admission.Jar_download
+             ~tier:account.tier ~user ?deadline_s ())
     in
-    (match adm_ticket with
-     | Some (adm, tk) -> Admission.complete adm ~now tk
-     | None -> ());
-    (match result with
-     | Ok session ->
+    (match ticket with
+     | Error shed ->
+       reject server ?retry_after_s:shed.Admission.retry_after_s
+         ~shed:shed.Admission.shed_reason
+         (Printf.sprintf "overload: request shed (%s)"
+            (Admission.shed_reason_name shed.Admission.shed_reason))
+     | Ok ticket ->
+       (* the breaker guards the whole download path: while open, the
+          request fails fast without touching the link *)
        (match server.breaker with
-        | Some b ->
-          (* lost optional jars already degrade the page; only a
-             failed page (essential loss) trips the breaker *)
-          Breaker.on_success b ~now
-        | None -> ());
-       Ok session
-     | Error reason ->
-       (match server.breaker with
-        | Some b -> Breaker.on_failure b ~now
-        | None -> ());
-       reject server reason)
+        | Some b when not (Breaker.allow b ~now) ->
+          let retry_after_s = Breaker.retry_after_s b ~now in
+          Option.iter
+            (fun (adm, tk) ->
+               Admission.give_up adm ~now tk Admission.Breaker_open
+                 ?retry_after_s ())
+            ticket;
+          reject server ?retry_after_s ~shed:Admission.Breaker_open
+            (Printf.sprintf "downloads suspended (circuit %s open)"
+               (Breaker.name b))
+        | breaker ->
+          let stale_ok =
+            match ticket with
+            | Some (adm, _) -> Admission.brownout adm = Admission.Serve_stale
+            | None -> false
+          in
+          let result =
+            page server account ~stale_ok ~now ?params ~user ~ip_name ~link
+              ?faults ?policy ()
+          in
+          Option.iter (fun (adm, tk) -> Admission.complete adm ~now tk) ticket;
+          (* lost optional jars already degrade the page; only a failed
+             download (essential loss) trips the breaker *)
+          (match (result, breaker) with
+           | Ok session, Some b ->
+             Breaker.on_success b ~now;
+             Ok session
+           | Ok session, None -> Ok session
+           | Error (Lost reason), Some b ->
+             Breaker.on_failure b ~now;
+             reject server reason
+           | Error (Lost reason | Refused reason), _ -> reject server reason)))
 
 let user_request server ?admission ?params ~now ~user ~ip_name ~link
     ?deadline_s ?faults ?policy () =
-  Metrics.incr server.sm.sm_requests;
-  match Hashtbl.find_opt server.accounts user with
-  | None -> reject server (Printf.sprintf "unknown user %s" user)
-  | Some account ->
-    let tier = account.tier in
-    (* admission first: shedding must cost nothing downstream *)
-    (match admission with
-     | None ->
-       serve_with server ?params ~now ~user ~ip_name ~link ?faults ?policy ()
-     | Some adm ->
-       (match
-          Admission.admit_now adm ~now ~cls:Admission.Jar_download ~tier
-            ~user ?deadline_s ()
-        with
-        | Error shed ->
-          reject server ?retry_after_s:shed.Admission.retry_after_s
-            ~shed:shed.Admission.shed_reason
-            (Printf.sprintf "overload: request shed (%s)"
-               (Admission.shed_reason_name shed.Admission.shed_reason))
-        | Ok ticket ->
-          serve_with server ~adm_ticket:(adm, ticket) ?params ~now ~user
-            ~ip_name ~link ?faults ?policy ()))
+  let admit =
+    match admission with
+    | None -> Unmetered
+    | Some adm -> Admit_now (adm, deadline_s)
+  in
+  serve server admit ?params ~now ~user ~ip_name ~link ?faults ?policy ()
 
 let serve_admitted server ~admission ~ticket ~now ~ip_name ~link ?faults
     ?policy () =
-  Metrics.incr server.sm.sm_requests;
-  let user = ticket.Admission.user in
-  match Hashtbl.find_opt server.accounts user with
-  | None ->
-    Admission.complete admission ~now ticket;
-    reject server (Printf.sprintf "unknown user %s" user)
-  | Some _ ->
-    serve_with server ~adm_ticket:(admission, ticket) ~now ~user ~ip_name
-      ~link ?faults ?policy ()
+  serve server (Admitted (admission, ticket)) ~now ~user:ticket.Admission.user
+    ~ip_name ~link ?faults ?policy ()
 
 let access_log server =
   let n = min server.logged access_log_lines in
   List.init n (fun i -> server.log.((server.logged - n + i) mod access_log_lines))
 
-let server_secret server = "vendor-secret/" ^ server.vendor
+let token server ~user =
+  Secure_channel.issue_token ~server_secret:("vendor-secret/" ^ server.vendor)
+    ~user
 
 let user_token server ~user =
-  if Hashtbl.mem server.accounts user then
-    Some
-      (Secure_channel.issue_token ~server_secret:(server_secret server) ~user)
-  else None
+  if Hashtbl.mem server.accounts user then Some (token server ~user) else None
 
-let secure_request server ~user ~ip_name ~link ?faults ?policy () =
-  match request server ~user ~ip_name ~link ?faults ?policy () with
-  | Error message -> Error message
-  | Ok session ->
-    (match user_token server ~user with
-     | None ->
-       (* this denial used to skip the failure counter *)
-       Metrics.incr server.sm.sm_request_failures;
-       Error (Printf.sprintf "no token for %s" user)
-     | Some token ->
-       (* only what actually arrived gets sealed and handed over *)
-       let delivered =
-         List.filter
-           (fun jar ->
-              not
-                (List.exists
-                   (fun f -> f.Jar.jar_name = jar.Jar.jar_name)
-                   session.failed))
-           session.fetched
-       in
-       let sealed = List.map (Secure_channel.seal ~token) delivered in
-       Ok (session, sealed))
+(* only what actually arrived gets sealed and handed over *)
+let seal server session =
+  let token = token server ~user:(Applet.user session.applet) in
+  List.filter_map
+    (fun jar ->
+       if List.exists (fun f -> f.Jar.jar_name = jar.Jar.jar_name) session.failed
+       then None
+       else Some (Secure_channel.seal ~token jar))
+    session.fetched
 
 (* Canonical rendering of every piece of durable server state. The
    atomic-admission property pins it: a shed or expired request must

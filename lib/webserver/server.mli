@@ -96,71 +96,61 @@ type session = {
   download_seconds : float;  (** includes retries, backoff and dead bytes *)
 }
 
-(** [request server ~user ~ip_name ~link ?faults ?policy ()] — serve the
-    IP evaluation page to [user] over [link]. Fails for unknown users or
-    IPs. The per-user browser cache persists across requests: revisits
-    after a republish fetch only the bumped applet jar.
-
-    [faults] makes the link lossy (seeded, deterministic); [policy]
-    governs per-jar retries ({!Jhdl_bundle.Download.default_fetch_policy}
-    by default). The session degrades gracefully: when an optional jar
-    (the viewer classes) is lost, the applet still launches and
-    [unavailable] lists the greyed-out tools; losing an essential jar
-    (base / technology / applet glue) is an [Error]. Failed components
-    are evicted from the browser cache so a revisit re-fetches them.
-
-    [params] requests a server-side elaboration at the given
-    (name, form-field string) parameter point; the build and its EDIF
-    export land in [session.elaborated], served from the delivery
-    cache on repeats. Malformed or out-of-range parameters are an
-    [Error], and so is a point the generator cannot build (the
-    {!Jhdl_applet.Catalog.elaboration_error_to_string} message); a
-    generator's raise never escapes. [now] stamps cache recency (defaults to 0 — LRU order is
-    structural either way). *)
-val request :
-  t ->
-  ?now:float ->
-  ?params:(string * string) list ->
-  user:string ->
-  ip_name:string ->
-  link:Jhdl_bundle.Download.link ->
-  ?faults:Jhdl_faults.Fault.config ->
-  ?policy:Jhdl_bundle.Download.fetch_policy ->
-  unit ->
-  (session, string) result
-
 (** [access_log server] — one line per served request, oldest first:
     the newest 1 024, so a long-running server's log stays bounded. *)
 val access_log : t -> string list
 
-(** {1 Overload-aware request path}
-
-    The front door for the "millions of users" regime: the same page
-    service as {!request}, behind admission control and the download
-    breaker, with every refusal typed and counted. *)
-
 (** A typed refusal. Overload rejections (admission sheds, open
     breaker) carry both a retry-after hint and the
     {!Jhdl_resilience.Admission.shed_reason} they were accounted
-    under; plain failures (unknown user or IP, essential download
-    loss) carry neither. *)
+    under; plain failures (unknown user or IP, a refused form,
+    essential download loss) carry neither. *)
 type rejection = {
   rej_reason : string;
   rej_retry_after_s : float option;
   rej_shed : Jhdl_resilience.Admission.shed_reason option;
 }
 
-(** [user_request server ?admission ~now ~user ~ip_name ~link
-    ?deadline_s ?faults ?policy ()] — serve the IP page under overload
-    control. With [admission], the request is admitted as a
-    [Jar_download] (shed requests are refused before costing
-    anything, with the controller's retry-after hint); under the
-    [Serve_stale] brownout rung a stale browser-cache entry answers
-    instead of re-fetching. With a download breaker armed
-    ({!create}'s [breaker]), an open circuit fails the request fast —
-    and, when admitted, the ticket is given up as [Breaker_open] so
-    the typed accounting still closes. Every early-return branch
-    counts in [request_failures_total]. *)
+(** {1 The request path}
+
+    One front door serves every page: {!user_request}. {!serve_admitted}
+    is the same path for a ticket a queued dispatcher already admitted,
+    and {!seal} is a step applied to a served session, not a second way
+    in. Every refusal counts in [request_failures_total]. *)
+
+(** [user_request server ?admission ?params ~now ~user ~ip_name ~link
+    ?deadline_s ?faults ?policy ()] — serve the IP evaluation page to
+    [user] over [link]. Unknown users and IPs are refused. The per-user
+    browser cache persists across requests: revisits after a republish
+    fetch only the bumped applet jar; [now] stamps cache recency.
+
+    [params] requests a server-side elaboration at the given
+    (name, form-field string) parameter point
+    ({!Jhdl_applet.Ip_module.parse_params}); the build and its EDIF
+    export land in [session.elaborated], served from the delivery
+    cache on repeats. A malformed or out-of-range form is refused, and
+    so is a point the generator cannot build (the
+    {!Jhdl_applet.Catalog.elaboration_error_to_string} message); a
+    generator's raise never escapes.
+
+    [faults] makes the link lossy (seeded, deterministic); [policy]
+    governs per-jar retries ({!Jhdl_bundle.Download.default_fetch_policy}
+    by default). The session degrades gracefully: when an optional jar
+    (the viewer classes) is lost, the applet still launches and
+    [unavailable] lists the greyed-out tools; losing an essential jar
+    (base / technology / applet glue) is a refusal. Failed components
+    are evicted from the browser cache so a revisit re-fetches them.
+
+    Overload control: with [admission], the request is admitted as a
+    [Jar_download] (shed requests are refused before costing anything,
+    with the controller's retry-after hint); under the [Serve_stale]
+    brownout rung a stale browser-cache entry answers instead of
+    re-fetching. With a download breaker armed ({!create}'s
+    [breaker]), an open circuit fails the request fast — and, when
+    admitted, the ticket is given up as [Breaker_open] so the typed
+    accounting still closes. The breaker counts only requests that
+    reached the download: a refused form, an unknown IP or a generator
+    refusal tells it nothing. *)
 val user_request :
   t ->
   ?admission:Jhdl_resilience.Admission.t ->
@@ -176,12 +166,10 @@ val user_request :
   (session, rejection) result
 
 (** [serve_admitted server ~admission ~ticket ~now ~ip_name ~link
-    ?faults ?policy ()] — serve a download ticket that a queued
-    dispatcher already admitted ({!Jhdl_resilience.Admission.start}).
-    Same semantics as the admitted arm of {!user_request} — serve-stale
-    under brownout, breaker fast-fail with the ticket given up as
-    [Breaker_open] — and the ticket's accounting is always closed. The
-    chaos load scheduler drives this path. *)
+    ?faults ?policy ()] — {!user_request} for the ticket's user, whose
+    download slot a queued dispatcher already admitted
+    ({!Jhdl_resilience.Admission.start}). The ticket's accounting is
+    always closed. The chaos load scheduler drives this path. *)
 val serve_admitted :
   t ->
   admission:Jhdl_resilience.Admission.t ->
@@ -207,17 +195,8 @@ val state_digest : t -> string
     {!Secure_channel}; [None] for unknown users. *)
 val user_token : t -> user:string -> string option
 
-(** [secure_request server ~user ~ip_name ~link ?faults ?policy ()] —
-    like {!request}, but the jars that actually arrived come sealed
-    under the user's token (failed jars are not sealed). The session's
-    timing is unchanged (the stream cipher is size-preserving). Unknown
-    users and IPs surface {!request}'s error directly. *)
-val secure_request :
-  t ->
-  user:string ->
-  ip_name:string ->
-  link:Jhdl_bundle.Download.link ->
-  ?faults:Jhdl_faults.Fault.config ->
-  ?policy:Jhdl_bundle.Download.fetch_policy ->
-  unit ->
-  (session * Secure_channel.sealed list, string) result
+(** [seal server session] — the jars of a served [session] that
+    actually arrived, sealed under its user's license token (failed
+    jars are not sealed). The session's timing is unchanged (the
+    stream cipher is size-preserving). *)
+val seal : t -> session -> Secure_channel.sealed list

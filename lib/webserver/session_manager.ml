@@ -161,7 +161,7 @@ let tick t ~now = reap_expired t ~now
 
 let reap_report t = List.rev t.reap_log
 
-let try_open_session t ~user ~now endpoint =
+let open_session t ~user ~now endpoint =
   (* reap first: a dead session must never hold a live user's quota
      slot — expired peers free their slots before the check *)
   let _ = reap_expired t ~now in
@@ -219,11 +219,6 @@ let try_open_session t ~user ~now endpoint =
     Log.info (fun m -> m "opened %s" key);
     Ok key
   end
-
-let open_session t ~user ~now endpoint =
-  Result.map_error
-    (fun r -> r.rej_reason)
-    (try_open_session t ~user ~now endpoint)
 
 let shutdown t =
   let preserved, lost =

@@ -44,16 +44,10 @@ type rejection = {
 (** [open_session t ~user ~now endpoint] — register a live endpoint
     under [user]. Heartbeat- and idle-expired sessions are reaped
     {e before} the quota check (and land in {!reap_report}), so a dead
-    session can never block a live user's admission. [Error _] (counted
-    in {!stats}) when the user's quota is genuinely full. Returns the
-    session key. *)
+    session can never block a live user's admission. A typed
+    [rejection] (counted in {!stats}, with a [rej_retry_after_s] hint)
+    when the user's quota is genuinely full. Returns the session key. *)
 val open_session :
-  t -> user:string -> now:float -> Jhdl_netproto.Endpoint.t ->
-  (string, string) result
-
-(** [try_open_session] — {!open_session} with the typed rejection:
-    quota refusals carry a [rej_retry_after_s] hint. *)
-val try_open_session :
   t -> user:string -> now:float -> Jhdl_netproto.Endpoint.t ->
   (string, rejection) result
 

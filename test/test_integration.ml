@@ -38,6 +38,14 @@ let ok = function
   | Ok v -> v
   | Error message -> Alcotest.failf "unexpected error: %s" message
 
+(* the KCM page through the one front door, its refusal reduced to the
+   reason *)
+let serve server ~user =
+  Result.map_error
+    (fun rejection -> rejection.Server.rej_reason)
+    (Server.user_request server ~now:0.0 ~user ~ip_name:"VirtexKCMMultiplier"
+       ~link:Download.dsl_1m ())
+
 let test_full_lifecycle () =
   (* 1. vendor stands up the server *)
   let server = Server.create ~vendor:"BYU Configurable Computing Lab" () in
@@ -47,8 +55,7 @@ let test_full_lifecycle () =
 
   (* 2. evaluator browses, builds and black-box simulates; cannot export *)
   let eve_session =
-    ok (Server.request server ~user:"eve" ~ip_name:"VirtexKCMMultiplier"
-          ~link:Download.dsl_1m ())
+    ok (serve server ~user:"eve")
   in
   let eve_applet = eve_session.Server.applet in
   List.iter
@@ -66,10 +73,8 @@ let test_full_lifecycle () =
     (Bits.to_signed_int (Cosim.get_output cosim ~box:"kcm" "product"));
 
   (* 3. licensed customer downloads encrypted jars and opens them *)
-  let pat_session, sealed =
-    ok (Server.secure_request server ~user:"pat" ~ip_name:"VirtexKCMMultiplier"
-          ~link:Download.dsl_1m ())
-  in
+  let pat_session = ok (serve server ~user:"pat") in
+  let sealed = Server.seal server pat_session in
   let token = Option.get (Server.user_token server ~user:"pat") in
   List.iter (fun s -> ignore (ok (Secure_channel.open_sealed ~token s))) sealed;
 

@@ -290,9 +290,10 @@ let test_reap_before_quota () =
            (counter_endpoint ())
    with
    | Ok _ -> ()
-   | Error m -> Alcotest.failf "first open failed: %s" m);
+   | Error r ->
+     Alcotest.failf "first open failed: %s" r.Session_manager.rej_reason);
   (* quota genuinely full: typed refusal with the expiry-based hint *)
-  (match Session_manager.try_open_session sm ~user:"eve" ~now:1.0
+  (match Session_manager.open_session sm ~user:"eve" ~now:1.0
            (counter_endpoint ())
    with
    | Ok _ -> Alcotest.fail "quota of one must reject a live second session"
@@ -308,8 +309,9 @@ let test_reap_before_quota () =
            (counter_endpoint ())
    with
    | Ok _ -> ()
-   | Error m ->
-     Alcotest.failf "dead session blocked a live user's admission: %s" m);
+   | Error r ->
+     Alcotest.failf "dead session blocked a live user's admission: %s"
+       r.Session_manager.rej_reason);
   let s = Session_manager.stats sm in
   Alcotest.(check int) "one quota rejection" 1 s.Session_manager.quota_rejections;
   Alcotest.(check int) "one heartbeat reap" 1 s.Session_manager.reaped_heartbeat;
@@ -344,8 +346,10 @@ let test_failure_paths_counted () =
    with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "unknown IP must fail");
-  (match Server.secure_request server ~user:"mallory"
-           ~ip_name:"VirtexKCMMultiplier" ~link:Download.dsl_1m ()
+  (match
+     Result.map (Server.seal server)
+       (Server.user_request server ~now:0.0 ~user:"mallory"
+          ~ip_name:"VirtexKCMMultiplier" ~link:Download.dsl_1m ())
    with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "secure request for an unknown user must fail");
@@ -401,7 +405,38 @@ let test_generator_raise_is_a_refusal () =
     (counter_value registry "request_failures_total");
   Alcotest.(check int) "nothing cached" 0
     (Store.stats (Server.delivery_cache server).Jhdl_cache.Delivery.designs)
-      .Store.live_entries
+      .Store.live_entries;
+  (* refusals before the download tell the download breaker nothing:
+     three in a row (a malformed field, an unknown IP, a generator
+     refusal) must not open it against the next customer *)
+  let breaker = Breaker.create ~name:"download" ~seed:9 () in
+  let server = Server.create ~vendor:"test-vendor" ~breaker () in
+  ignore (Server.publish server Catalog.cordic);
+  Server.register_user server ~user:"eve" ~tier:License.Licensed;
+  Server.register_user server ~user:"bob" ~tier:License.Licensed;
+  List.iteri
+    (fun i (ip_name, params) ->
+       match
+         Server.user_request server ~now:(0.1 *. float_of_int i) ~user:"eve"
+           ~ip_name ~params ~link:Download.dsl_1m ()
+       with
+       | Ok _ -> Alcotest.failf "refusal %d was served" i
+       | Error r ->
+         Alcotest.(check bool) "refused, not shed" true
+           (r.Server.rej_shed = None))
+    [ ("CordicRotator", [ ("width", "banana") ]);
+      ("NoSuchIP", []);
+      ("CordicRotator", [ ("width", "10"); ("iterations", "27") ]) ];
+  Alcotest.(check string) "the breaker stays closed" "closed"
+    (Breaker.state_name (Breaker.state breaker));
+  match
+    Server.user_request server ~now:0.5 ~user:"bob" ~ip_name:"CordicRotator"
+      ~link:Download.dsl_1m ()
+  with
+  | Ok _ -> ()
+  | Error r ->
+    Alcotest.failf "another user's valid request was refused: %s"
+      r.Server.rej_reason
 
 (* whatever a form holds, the front door answers with a session or a
    typed refusal: each field is a schema parameter (or a stray name)

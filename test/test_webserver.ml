@@ -16,15 +16,22 @@ let fresh_server () =
   Server.register_user server ~user:"bob" ~tier:License.Passive;
   server
 
+(* the one front door, its refusal reduced to the reason *)
+let serve server ~user ~ip_name ~link ?faults ?policy () =
+  Result.map_error
+    (fun rejection -> rejection.Server.rej_reason)
+    (Server.user_request server ~now:0.0 ~user ~ip_name ~link ?faults ?policy
+       ())
+
 let request ?(user = "alice") ?(ip = "VirtexKCMMultiplier") server =
-  match Server.request server ~user ~ip_name:ip ~link:Download.dsl_1m () with
+  match serve server ~user ~ip_name:ip ~link:Download.dsl_1m () with
   | Ok session -> session
   | Error message -> Alcotest.failf "request failed: %s" message
 
 let test_unknown_user () =
   let server = fresh_server () in
   match
-    Server.request server ~user:"mallory" ~ip_name:"VirtexKCMMultiplier"
+    serve server ~user:"mallory" ~ip_name:"VirtexKCMMultiplier"
       ~link:Download.dsl_1m ()
   with
   | Error message ->
@@ -35,7 +42,7 @@ let test_unknown_user () =
 let test_unknown_ip () =
   let server = fresh_server () in
   match
-    Server.request server ~user:"alice" ~ip_name:"Cordic" ~link:Download.dsl_1m ()
+    serve server ~user:"alice" ~ip_name:"Cordic" ~link:Download.dsl_1m ()
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "should fail"
@@ -125,12 +132,15 @@ let test_served_applet_works () =
   | Ok text -> Alcotest.(check bool) "vhdl produced" true (String.length text > 500)
   | Error message -> Alcotest.failf "netlist failed: %s" message
 
+(* sealing is a step after serving: serve, then seal what arrived *)
+let secure server ~user =
+  Result.map
+    (fun session -> (session, Server.seal server session))
+    (serve server ~user ~ip_name:"VirtexKCMMultiplier" ~link:Download.dsl_1m ())
+
 let test_secure_request () =
   let server = fresh_server () in
-  match
-    Server.secure_request server ~user:"alice" ~ip_name:"VirtexKCMMultiplier"
-      ~link:Download.dsl_1m ()
-  with
+  match secure server ~user:"alice" with
   | Error message -> Alcotest.fail message
   | Ok (session, sealed) ->
     Alcotest.(check int) "one sealed jar per fetched jar"
@@ -152,15 +162,12 @@ let test_secure_request () =
          (Result.is_error (Jhdl_webserver.Secure_channel.open_sealed ~token:bad s))
      | [] -> Alcotest.fail "expected sealed jars")
 
-(* regression: secure_request used to lose the plain request's error in
+(* regression: the secure path once lost the plain request's error in
    a dead Result.map branch, so the unknown-user path crashed instead of
    reporting — it must propagate the message *)
 let test_secure_request_unknown_user () =
   let server = fresh_server () in
-  match
-    Server.secure_request server ~user:"mallory" ~ip_name:"VirtexKCMMultiplier"
-      ~link:Download.dsl_1m ()
-  with
+  match secure server ~user:"mallory" with
   | Error message ->
     Alcotest.(check bool) "error mentions the user" true
       (let needle = "mallory" in
@@ -176,7 +183,7 @@ let test_secure_request_unknown_user () =
 module Fault = Jhdl_faults.Fault
 
 let faulty_request server ~seed =
-  Server.request server ~user:"alice" ~ip_name:"VirtexKCMMultiplier"
+  serve server ~user:"alice" ~ip_name:"VirtexKCMMultiplier"
     ~link:Download.modem_56k
     ~faults:(Fault.only Fault.Disconnect ~rate:0.6 ~seed)
     ~policy:Download.single_attempt ()
@@ -242,7 +249,7 @@ let test_essential_failure_is_an_error () =
      so the page must refuse to load rather than serve a broken applet *)
   let server = fresh_server () in
   match
-    Server.request server ~user:"alice" ~ip_name:"VirtexKCMMultiplier"
+    serve server ~user:"alice" ~ip_name:"VirtexKCMMultiplier"
       ~link:Download.modem_56k
       ~faults:(Fault.only Fault.Disconnect ~rate:0.999 ~seed:3)
       ~policy:Download.single_attempt ()
@@ -324,7 +331,8 @@ let manager_config =
 let open_ok manager ~user ~now endpoint =
   match Session_manager.open_session manager ~user ~now endpoint with
   | Ok key -> key
-  | Error reason -> Alcotest.failf "open_session failed: %s" reason
+  | Error r ->
+    Alcotest.failf "open_session failed: %s" r.Session_manager.rej_reason
 
 let test_session_quota () =
   let m = Session_manager.create ~config:manager_config () in
@@ -335,9 +343,9 @@ let test_session_quota () =
      Session_manager.open_session m ~user:"alice" ~now:0.0
        (counter_endpoint "a3")
    with
-   | Error reason ->
+   | Error r ->
      Alcotest.(check bool) "refusal names the quota" true
-       (String.length reason > 0)
+       (String.length r.Session_manager.rej_reason > 0)
    | Ok _ -> Alcotest.fail "third alice session must be refused");
   let stats = Session_manager.stats m in
   Alcotest.(check int) "three live" 3 stats.Session_manager.live;
