@@ -124,6 +124,11 @@ let run ip_name params binds tb_path network_name fault_name fault_rate retries
     in
     let retry = { Cosim.default_retry with Cosim.max_attempts = retries } in
     let* params = Cli_common.(collect (split_eq "--param")) params in
+    (* the one form check (a repeated field included) before the applet
+       applies any field *)
+    let* (_ : (string * Ip_module.param_value) list) =
+      Ip_module.parse_params ip params
+    in
     let* binds = Cli_common.(collect (split_eq "--bind")) binds in
     let bindings =
       List.map

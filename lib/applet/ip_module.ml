@@ -101,9 +101,17 @@ let parse_field t name text =
   | None -> Error (Printf.sprintf "unknown parameter %s" name)
   | Some kind -> parse_param kind text
 
+(* [String.equal], not [List.mem_assoc]'s polymorphic compare: every
+   served request runs this *)
+let rec given name = function
+  | [] -> false
+  | (seen, _) :: rest -> String.equal seen name || given name rest
+
 let parse_params t fields =
   let rec go acc = function
     | [] -> validate t (List.rev acc)
+    | (name, _) :: _ when given name acc ->
+      Error (Printf.sprintf "parameter %s given twice" name)
     | (name, text) :: rest ->
       (match parse_field t name text with
        | Error message -> Error message

@@ -64,7 +64,8 @@ val parse_field : t -> string -> string -> (param_value, string) result
 (** [parse_params t fields] — the one way form fields enter a
     generator: each (name, text) field is parsed with {!parse_field},
     then {!validate} fills the defaults, so the result is the complete
-    canonical assignment [build] expects. *)
+    canonical assignment [build] expects. A field given twice is an
+    error that names it: no tool may read one form as two designs. *)
 val parse_params :
   t -> (string * string) list -> ((string * param_value) list, string) result
 

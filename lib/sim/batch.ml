@@ -1,9 +1,10 @@
 (* The simulation kernel: up to 63 testbench lanes per machine word.
 
    [Simulator] is this kernel at one lane; [Batch] is the same kernel
-   at up to 63. The [Plan] supplies dense net numbering, CSR fan-out,
-   per-level dirty buckets drained in ascending level order and the
-   checkpoint tables. The per-net state is a pair of bit-plane words:
+   at up to 63. The immutable [Plan] supplies dense net numbering, CSR
+   fan-out, the level of each rank and the checkpoint tables; the
+   kernel owns the dirty worklist bucketed by those levels (see
+   [store]). The per-net state is a pair of bit-plane words:
    bit [l] of plane 0 / plane 1 holds bit 0 / bit 1 of lane [l]'s
    2-bit code ([Bit.to_code]: Zero=00, One=01, X=10, Z=11 in plane
    order (p1,p0)). A node evaluation is a handful of word-wise bitwise
@@ -21,6 +22,10 @@
    - SRL16/RAM16X1 reads run the same product tree over the 4 address
      bits, with an exact pass-through path (Z included) for lanes whose
      address is fully defined;
+   - at one lane, a LUT or memory read whose address bits are all
+     defined skips the tree: the LUT reads its INIT bit and the read
+     passes the addressed cell's code through ([lut_eval],
+     [mem_read]);
    - FF/SRL/RAM sequential state lives in per-node plane words with a
      two-phase compute/commit clock step;
    - behavioural black boxes run their [Prim.behavior] closures over
@@ -51,13 +56,26 @@ exception Combinational_cycle = Plan.Combinational_cycle
 let max_lanes = 63
 
 (* ------------------------------------------------------------------ *)
-(* Plane store: two words per dense net, plus the shared plan.         *)
+(* Plane store and dirty worklist.                                     *)
 
+(* Two words per dense net, and the worklist over the plan's ranks: a
+   pending flag per rank plus a pending count per level, drained in
+   ascending level order. Combinational edges strictly increase level,
+   so one sweep settles the cone and each dirty node is evaluated
+   exactly once. The worklist lives here, beside [write], and not in
+   the plan: under [-opaque] (dune's dev profile) a call into another
+   module is an unknown call through its module block, and [write]
+   marks consumers on every net change. *)
 type store = {
   p0 : int array; (* plane 0 (code bit 0) per dense net *)
   p1 : int array; (* plane 1 (code bit 1) per dense net *)
   mask : int; (* low [lanes] bits set *)
   plan : Plan.t;
+  dirty : Bytes.t; (* per-rank pending flag *)
+  level_pending : int array; (* dirty count per level *)
+  mutable pending_total : int;
+  mutable evals : int; (* node evaluations by settles *)
+  mutable changes : int; (* change-tracked net writes that stuck *)
 }
 
 (* mux/product scratch shared by every closure of one sim; results land
@@ -68,16 +86,70 @@ type scratch = {
   prod : int array; (* 2^k address products, k <= 6 *)
 }
 
+let[@inline] mark st rank =
+  if Bytes.unsafe_get st.dirty rank = '\000' then begin
+    Bytes.unsafe_set st.dirty rank '\001';
+    let lv = Array.unsafe_get st.plan.Plan.level_of rank in
+    Array.unsafe_set st.level_pending lv (Array.unsafe_get st.level_pending lv + 1);
+    st.pending_total <- st.pending_total + 1
+  end
+
+(* a net write that changed dense net [idx]: count it and mark the
+   net's CSR consumers *)
+let changed st idx =
+  st.changes <- st.changes + 1;
+  let row = st.plan.Plan.row and col = st.plan.Plan.col in
+  for k = Array.unsafe_get row idx to Array.unsafe_get row (idx + 1) - 1 do
+    mark st (Array.unsafe_get col k)
+  done
+
 (* change-tracked plane write: any changed lane marks the net's CSR
    consumers dirty (re-evaluating unchanged lanes is idempotent) *)
-let write st idx n0 n1 =
+let[@inline] write st idx n0 n1 =
   if
     Array.unsafe_get st.p0 idx <> n0 || Array.unsafe_get st.p1 idx <> n1
   then begin
     Array.unsafe_set st.p0 idx n0;
     Array.unsafe_set st.p1 idx n1;
-    Plan.changed st.plan idx
+    changed st idx
   end
+
+(* evaluate every dirty rank in ascending level order, stopping once
+   nothing is pending; returns how many it evaluated *)
+let drain st eval =
+  let before = st.evals in
+  let depth = st.plan.Plan.depth and level_lo = st.plan.Plan.level_lo in
+  let lv = ref 0 in
+  while st.pending_total > 0 && !lv <= depth do
+    let cnt = Array.unsafe_get st.level_pending !lv in
+    if cnt > 0 then begin
+      Array.unsafe_set st.level_pending !lv 0;
+      st.pending_total <- st.pending_total - cnt;
+      st.evals <- st.evals + cnt;
+      let left = ref cnt in
+      let r = ref (Array.unsafe_get level_lo !lv) in
+      while !left > 0 do
+        if Bytes.unsafe_get st.dirty !r <> '\000' then begin
+          Bytes.unsafe_set st.dirty !r '\000';
+          decr left;
+          (Array.unsafe_get eval !r) ()
+        end;
+        incr r
+      done
+    end;
+    incr lv
+  done;
+  st.evals - before
+
+(* evaluate every rank once and clear the worklist *)
+let full_pass st eval =
+  for r = 0 to Array.length eval - 1 do
+    (Array.unsafe_get eval r) ()
+  done;
+  st.evals <- st.evals + Array.length eval;
+  Bytes.fill st.dirty 0 (Bytes.length st.dirty) '\000';
+  Array.fill st.level_pending 0 (Array.length st.level_pending) 0;
+  st.pending_total <- 0
 
 (* word-wise Bit.mux: per lane [a] when sel=0, [b] when sel=1, else X
    unless a and b agree on a defined value *)
@@ -114,6 +186,27 @@ let build_products sc st addrs k root =
     width := !width * 2
   done
 
+(* LUT1-4: the product tree covers inputs 1..k-1 ([upper]); the split
+   on input 0 ([i0]) is folded into the accumulation. Possibility sets:
+   can0/can1 collect the lanes that can reach a 0/1 table bit; both
+   reachable = X, exactly the unknown-subset walk of [Reference]. *)
+let lut_tree sc st upper i0 table o =
+  let k1 = Array.length upper in
+  build_products sc st upper k1 st.mask;
+  let v0 = Array.unsafe_get st.p0 i0 and v1 = Array.unsafe_get st.p1 i0 in
+  let hi = v0 lor v1 and lo = lnot v0 lor v1 in
+  let can0 = ref 0 and can1 = ref 0 in
+  for m = 0 to (1 lsl k1) - 1 do
+    let pr = Array.unsafe_get sc.prod m in
+    let a = pr land lo and b = pr land hi (* address 2m, 2m+1 *) in
+    (* all ones where the table bit is 1 *)
+    let ta = 0 - ((table lsr (2 * m)) land 1)
+    and tb = 0 - ((table lsr ((2 * m) + 1)) land 1) in
+    can1 := !can1 lor (a land ta) lor (b land tb);
+    can0 := !can0 lor (a land lnot ta) lor (b land lnot tb)
+  done;
+  write st o (!can1 land lnot !can0) (!can1 land !can0)
+
 (* SRL16/RAM16X1 read port: one product tree over the 4 address bits,
    then an exact pass-through path (X and Z cells included) for lanes
    whose address is fully defined, and a reachable-cell possibility
@@ -147,6 +240,60 @@ let mem_read_eval sc st a c0 c1 o () =
   let u1 = au land !ones land lnot !zeros land lnot !undef in
   let u0 = au land !zeros land lnot !ones land lnot !undef in
   write st o (r0d lor u1) (r1d lor (au land lnot (u0 lor u1)))
+
+(* One lane: an address none of whose bits is X or Z (no [p1] bit set)
+   spells its index directly in [p0], so a LUT reads its INIT bit and
+   an SRL16/RAM16X1 read passes the addressed cell's code through, Z
+   included. Anything else falls back to the product tree every lane
+   count runs. *)
+let[@inline] unknown st idx = Array.unsafe_get st.p1 idx
+let[@inline] addr_bit st idx i = Array.unsafe_get st.p0 idx lsl i
+let[@inline] lut_bit st o table a = write st o ((table lsr a) land 1) 0
+
+let lut_eval sc st ~lanes addrs table o =
+  let upper = Array.sub addrs 1 (Array.length addrs - 1) in
+  match lanes, addrs with
+  | 1, [| a0 |] ->
+    fun () ->
+      if unknown st a0 = 0 then lut_bit st o table (addr_bit st a0 0)
+      else lut_tree sc st upper a0 table o
+  | 1, [| a0; a1 |] ->
+    fun () ->
+      if unknown st a0 lor unknown st a1 = 0 then
+        lut_bit st o table (addr_bit st a0 0 lor addr_bit st a1 1)
+      else lut_tree sc st upper a0 table o
+  | 1, [| a0; a1; a2 |] ->
+    fun () ->
+      if unknown st a0 lor unknown st a1 lor unknown st a2 = 0 then
+        lut_bit st o table
+          (addr_bit st a0 0 lor addr_bit st a1 1 lor addr_bit st a2 2)
+      else lut_tree sc st upper a0 table o
+  | 1, [| a0; a1; a2; a3 |] ->
+    fun () ->
+      if unknown st a0 lor unknown st a1 lor unknown st a2 lor unknown st a3 = 0
+      then
+        lut_bit st o table
+          (addr_bit st a0 0 lor addr_bit st a1 1 lor addr_bit st a2 2
+          lor addr_bit st a3 3)
+      else lut_tree sc st upper a0 table o
+  | _ ->
+    let i0 = addrs.(0) in
+    fun () -> lut_tree sc st upper i0 table o
+
+let mem_read sc st ~lanes a c0 c1 o =
+  if lanes > 1 then mem_read_eval sc st a c0 c1 o
+  else
+    let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3) in
+    fun () ->
+      if unknown st a0 lor unknown st a1 lor unknown st a2 lor unknown st a3 = 0
+      then begin
+        let j =
+          addr_bit st a0 0 lor addr_bit st a1 1 lor addr_bit st a2 2
+          lor addr_bit st a3 3
+        in
+        write st o (Array.unsafe_get c0 j) (Array.unsafe_get c1 j)
+      end
+      else mem_read_eval sc st a c0 c1 o ()
 
 (* ------------------------------------------------------------------ *)
 (* Sequential nodes: per-lane state in plane words (FF) or plane-word
@@ -218,7 +365,6 @@ type t = {
   seq_clocked : snode array;
   seq_snap : snode array; (* the plan's checkpoint table, entry by entry *)
   in_targets : (string, force_target) Hashtbl.t;
-  out_ports : (string * int array) list; (* declaration order *)
   mutable cycles : int;
   mutable words_hist : Jhdl_metrics.Metrics.histogram option;
 }
@@ -232,12 +378,12 @@ let observe_settle b words =
   | Some h -> Jhdl_metrics.Metrics.observe h words
 
 let propagate_full b =
-  Plan.full_pass b.st.plan b.eval;
+  full_pass b.st b.eval;
   observe_settle b (Array.length b.eval)
 
-(* one drain of the plan's worklist reaches the all-lane fixpoint *)
+(* one drain of the worklist reaches the all-lane fixpoint *)
 let propagate b =
-  let evaluated = Plan.drain b.st.plan b.eval in
+  let evaluated = drain b.st b.eval in
   if evaluated > 0 then observe_settle b evaluated
 
 (* ------------------------------------------------------------------ *)
@@ -324,7 +470,7 @@ let commit_snode st = function
     if f.ff_cur0 <> f.ff_next0 || f.ff_cur1 <> f.ff_next1 then begin
       f.ff_cur0 <- f.ff_next0;
       f.ff_cur1 <- f.ff_next1;
-      Plan.mark st.plan f.ff_rank
+      mark st f.ff_rank
     end
   | S_srl s ->
     let changed = ref false in
@@ -338,7 +484,7 @@ let commit_snode st = function
         Array.unsafe_set s.srl_c1 i (Array.unsafe_get s.srl_n1 i)
       end
     done;
-    if !changed then Plan.mark st.plan s.srl_rank
+    if !changed then mark st s.srl_rank
   | S_ram m ->
     let changed = ref false in
     for i = 0 to 15 do
@@ -351,13 +497,13 @@ let commit_snode st = function
         Array.unsafe_set m.ram_c1 i (Array.unsafe_get m.ram_n1 i)
       end
     done;
-    if !changed then Plan.mark st.plan m.ram_rank
+    if !changed then mark st m.ram_rank
   | S_bb b ->
     (match b.bb_behavior.Prim.clock_edge with
      | Some edge ->
        edge ~read:b.bb_read;
        (* behavioural state is opaque: conservatively re-evaluate *)
-       Plan.mark st.plan b.bb_rank
+       mark st b.bb_rank
      | None -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -391,7 +537,12 @@ let create_as ~who ~clock ~lanes design =
     { p0 = Array.make plan.Plan.n_nets 0;
       p1 = Array.make plan.Plan.n_nets mask (* everything starts X in every lane *);
       mask;
-      plan }
+      plan;
+      dirty = Bytes.make (Array.length nodes) '\000';
+      level_pending = Array.make (plan.Plan.depth + 1) 0;
+      pending_total = 0;
+      evals = 0;
+      changes = 0 }
   in
   let sc = { m0 = 0; m1 = 0; prod = Array.make 64 0 } in
   let eval = Array.make (Array.length nodes) (fun () -> ()) in
@@ -407,33 +558,10 @@ let create_as ~who ~clock ~lanes design =
        let p1 ports name = (Plan.port plan ports name).(0) in
        match prim with
        | Prim.Lut init ->
-         let k = Lut_init.inputs init in
-         let table = Lut_init.to_int init in
-         let addrs = Array.init k (fun i -> p1 ins (Printf.sprintf "I%d" i)) in
-         let o = p1 outs "O" in
-         (* the product tree covers inputs 1..k-1; the split on input 0
-            is folded into the accumulation below *)
-         let upper = Array.sub addrs 1 (k - 1) and i0 = addrs.(0) in
-         let pairs = 1 lsl (k - 1) in
-         eval.(rank) <-
-           (fun () ->
-              build_products sc st upper (k - 1) mask;
-              let v0 = Array.unsafe_get st.p0 i0 and v1 = Array.unsafe_get st.p1 i0 in
-              let hi = v0 lor v1 and lo = lnot v0 lor v1 in
-              (* possibility sets: can0/can1 collect the lanes that can
-                 reach a 0/1 table bit; both reachable = X, exactly the
-                 unknown-subset walk of [Reference] *)
-              let can0 = ref 0 and can1 = ref 0 in
-              for m = 0 to pairs - 1 do
-                let pr = Array.unsafe_get sc.prod m in
-                let a = pr land lo and b = pr land hi (* address 2m, 2m+1 *) in
-                (* all ones where the table bit is 1 *)
-                let ta = 0 - ((table lsr (2 * m)) land 1)
-                and tb = 0 - ((table lsr ((2 * m) + 1)) land 1) in
-                can1 := !can1 lor (a land ta) lor (b land tb);
-                can0 := !can0 lor (a land lnot ta) lor (b land lnot tb)
-              done;
-              write st o (!can1 land lnot !can0) (!can1 land !can0))
+         let addrs =
+           Array.init (Lut_init.inputs init) (fun i -> p1 ins (Printf.sprintf "I%d" i))
+         in
+         eval.(rank) <- lut_eval sc st ~lanes addrs (Lut_init.to_int init) (p1 outs "O")
        | Prim.Ff { clock_enable; async_clear; sync_reset; init } ->
          let c = Bit.to_code init in
          let f =
@@ -511,7 +639,7 @@ let create_as ~who ~clock ~lanes design =
          let a = Array.init 4 (fun i -> p1 ins (Printf.sprintf "A%d" i)) in
          let q = p1 outs "Q" in
          let c0 = s.srl_c0 and c1 = s.srl_c1 in
-         eval.(rank) <- mem_read_eval sc st a c0 c1 q;
+         eval.(rank) <- mem_read sc st ~lanes a c0 c1 q;
          add_seq (S_srl s) clocked
        | Prim.Ram16x1 { init } ->
          let m =
@@ -526,7 +654,7 @@ let create_as ~who ~clock ~lanes design =
              ram_init = init }
          in
          let o = p1 outs "O" in
-         eval.(rank) <- mem_read_eval sc st m.ram_a m.ram_c0 m.ram_c1 o;
+         eval.(rank) <- mem_read sc st ~lanes m.ram_a m.ram_c0 m.ram_c1 o;
          add_seq (S_ram m) clocked
        | Prim.Buf ->
          let i = p1 ins "I" and o = p1 outs "O" in
@@ -602,18 +730,6 @@ let create_as ~who ~clock ~lanes design =
        in
        Hashtbl.replace in_targets name { ft_idx = idx; ft_reject = !reject })
     (Design.inputs design);
-  let out_ports =
-    List.map
-      (fun port ->
-         ( port.Design.port_name,
-           Array.map
-             (fun n ->
-                match Hashtbl.find_opt plan.Plan.net_idx n.net_id with
-                | Some idx -> idx
-                | None -> -1)
-             (Wire.nets port.Design.port_wire) ))
-      (Design.outputs design)
-  in
   let b =
     { sim_design = design;
       st;
@@ -624,7 +740,6 @@ let create_as ~who ~clock ~lanes design =
       seq_clocked = Array.of_list (List.rev !seq_clocked);
       seq_snap = Array.map (fun e -> Hashtbl.find seq_at e.Plan.rank) plan.Plan.seq;
       in_targets;
-      out_ports;
       cycles = 0;
       words_hist = None }
   in
@@ -725,17 +840,6 @@ let get_port b ~lane port =
     invalid_arg (Printf.sprintf "Simulator.Batch.get_port: no port %s" port)
   | Some p -> read_nets b ~lane (Wire.nets p.Design.port_wire)
 
-let read_outputs b ~lane =
-  check_lane b lane;
-  propagate b;
-  List.map
-    (fun (name, idx) ->
-       ( name,
-         Bits.init (Array.length idx) (fun i ->
-           let ix = Array.unsafe_get idx i in
-           if ix < 0 then Bit.X else Bit.of_code (lane_code b.st ix lane)) ))
-    b.out_ports
-
 let cycle ?(n = 1) b =
   propagate b (* settle deferred input forces before the edge *);
   let st = b.st and sc = b.sc in
@@ -777,8 +881,8 @@ let reset b =
 let cycle_count b = b.cycles
 let prim_count b = Array.length b.eval
 let levels b = b.st.plan.Plan.depth
-let eval_count b = b.st.plan.Plan.evals
-let event_count b = b.st.plan.Plan.changes
+let eval_count b = b.st.evals
+let event_count b = b.st.changes
 
 let attach_settle_histogram b h = b.words_hist <- Some h
 

@@ -11,7 +11,8 @@
     possibility-set table lookups over the plane pair,
     MUXCY/XORCY/MULT_AND/INV/BUF become a handful of bitwise word
     operations, and FD*/SRL16E/RAM16X1S keep per-lane sequential state
-    in packed planes.
+    in packed planes. At one lane, a LUT or SRL16E/RAM16X1S read whose
+    address bits are all defined reads its INIT bit or cell directly.
 
     This is the one kernel: {!Simulator} is its one-lane face. Every
     lane is bit-identical to a run of the golden {!Reference}
@@ -20,7 +21,7 @@
 
     Input forcing is deferred here: {!set_input} and {!set_inputs} only
     record the forced values, and the next {!cycle}, {!propagate} or
-    read ({!get}, {!get_port}, {!read_outputs}, {!snapshot_lane})
+    read ({!get}, {!get_port}, {!snapshot_lane})
     settles combinational logic once for everything forced since — so
     driving all 63 lanes costs a single settle. Behavioural black boxes
     run with one lane only: their state is opaque and cannot be
@@ -86,10 +87,6 @@ val get : t -> lane:int -> Jhdl_circuit.Wire.t -> Jhdl_logic.Bits.t
 
 (** [get_port b ~lane name] reads a top-level port in one lane. *)
 val get_port : t -> lane:int -> string -> Jhdl_logic.Bits.t
-
-(** [read_outputs b ~lane] reads every top-level output port of one
-    lane, in declaration order. *)
-val read_outputs : t -> lane:int -> (string * Jhdl_logic.Bits.t) list
 
 (** {1 Lane extraction}
 

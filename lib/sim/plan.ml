@@ -10,17 +10,15 @@
    - dense net numbering: the design's nets first, in [Design.all_nets]
      order, then any node-port net no declared wire reaches;
    - the CSR fan-out ([row]/[col]) from a net to the ranks of its
-     combinational consumers;
-   - the dirty worklist, a per-rank byte flag plus a per-level pending
-     count, drained in ascending level order: combinational edges
-     strictly increase level, so one sweep settles the cone and each
-     dirty node is evaluated exactly once;
+     combinational consumers, and the level of each rank and first rank
+     of each level, which the kernel's dirty worklist is bucketed by;
    - the checkpoint tables. Design nets are the first dense indices, so
      a blob's net section is a prefix of the kernel's store; [seq] lists
      the sequential elements in the hierarchy order their state entries
      take in a blob.
 
-   The per-rank [node]s go back to the caller, which compiles its eval
+   A plan holds tables only; nothing in it changes after [create]. The
+   per-rank [node]s go back to the caller, which compiles its eval
    closures from them and drops them. *)
 
 open Jhdl_circuit.Types
@@ -57,11 +55,6 @@ type t = {
   level_of : int array;
   level_lo : int array;
   depth : int;
-  dirty : Bytes.t;
-  level_pending : int array;
-  mutable pending_total : int;
-  mutable evals : int;
-  mutable changes : int;
   seq : seq array;
   black_boxes : (string * string) list;
   signature : int Lazy.t;
@@ -198,11 +191,6 @@ let create ~who ~clock design =
       level_of;
       level_lo;
       depth;
-      dirty = Bytes.make n_ranks '\000';
-      level_pending = Array.make (depth + 1) 0;
-      pending_total = 0;
-      evals = 0;
-      changes = 0;
       seq = Array.of_list seq;
       black_boxes;
       signature = lazy (Snapshot.signature design) },
@@ -212,55 +200,6 @@ let port p ports name =
   match List.assoc_opt name ports with
   | Some idx -> idx
   | None -> invalid_arg (Printf.sprintf "%s: no port %s" p.who name)
-
-(* ------------------------------------------------------------------ *)
-(* Dirty worklist.                                                     *)
-
-let mark p rank =
-  if Bytes.unsafe_get p.dirty rank = '\000' then begin
-    Bytes.unsafe_set p.dirty rank '\001';
-    let lv = Array.unsafe_get p.level_of rank in
-    p.level_pending.(lv) <- p.level_pending.(lv) + 1;
-    p.pending_total <- p.pending_total + 1
-  end
-
-let changed p idx =
-  p.changes <- p.changes + 1;
-  for k = p.row.(idx) to p.row.(idx + 1) - 1 do
-    mark p p.col.(k)
-  done
-
-let drain p eval =
-  let before = p.evals in
-  if p.pending_total > 0 then
-    for lv = 0 to p.depth do
-      let cnt = p.level_pending.(lv) in
-      if cnt > 0 then begin
-        p.level_pending.(lv) <- 0;
-        p.pending_total <- p.pending_total - cnt;
-        p.evals <- p.evals + cnt;
-        let left = ref cnt in
-        let r = ref p.level_lo.(lv) in
-        while !left > 0 do
-          if Bytes.unsafe_get p.dirty !r <> '\000' then begin
-            Bytes.unsafe_set p.dirty !r '\000';
-            decr left;
-            (Array.unsafe_get eval !r) ()
-          end;
-          incr r
-        done
-      end
-    done;
-  p.evals - before
-
-let full_pass p eval =
-  for r = 0 to Array.length eval - 1 do
-    (Array.unsafe_get eval r) ()
-  done;
-  p.evals <- p.evals + Array.length eval;
-  Bytes.fill p.dirty 0 (Bytes.length p.dirty) '\000';
-  Array.fill p.level_pending 0 (Array.length p.level_pending) 0;
-  p.pending_total <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint tables.                                                  *)

@@ -2,9 +2,10 @@
     as its one-lane face).
 
     The kernel's [create] builds one plan and keeps it: the prechecks,
-    the levelized rank order, dense net numbering, the CSR fan-out, the
-    level-bucketed dirty worklist and the checkpoint tables. The kernel
-    adds its plane store, its per-primitive eval closures and its
+    the levelized rank order with its level table, dense net numbering,
+    the CSR fan-out and the checkpoint tables. A plan is immutable. The
+    kernel adds its plane store, its dirty worklist over the plan's
+    ranks and levels, its per-primitive eval closures and its
     sequential node records. {!Reference} builds none of this: it stays
     the independent golden model. *)
 
@@ -41,11 +42,6 @@ type t = private {
   level_of : int array;  (** per rank *)
   level_lo : int array;  (** first rank of each level *)
   depth : int;
-  dirty : Bytes.t;  (** per-rank pending flag *)
-  level_pending : int array;  (** dirty count per level *)
-  mutable pending_total : int;
-  mutable evals : int;  (** node evaluations by settles *)
-  mutable changes : int;  (** change-tracked net writes that stuck *)
   seq : seq array;  (** sequential elements, hierarchy order *)
   black_boxes : (string * string) list;  (** path, model name *)
   signature : int Lazy.t;
@@ -61,21 +57,6 @@ val create :
 
 (** [port plan ports name] — the dense indices of port [name]. *)
 val port : t -> (string * int array) list -> string -> int array
-
-(** [mark plan rank] puts [rank] on the dirty worklist. *)
-val mark : t -> int -> unit
-
-(** [changed plan idx] counts a net write that changed dense net [idx]
-    and marks its combinational consumers. *)
-val changed : t -> int -> unit
-
-(** [drain plan eval] evaluates every dirty rank in ascending level
-    order and returns how many it evaluated. *)
-val drain : t -> (unit -> unit) array -> int
-
-(** [full_pass plan eval] evaluates every rank once and clears the
-    worklist. *)
-val full_pass : t -> (unit -> unit) array -> unit
 
 (** The design's {!Snapshot.signature}, computed on first use. *)
 val signature : t -> int

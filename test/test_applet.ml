@@ -109,6 +109,26 @@ let test_param_validation () =
     (contains ~needle:"unknown"
        (err applet (Applet.Set_param ("frequency", "5"))))
 
+(* one form is one design: a field given twice is refused by name,
+   whichever value came first, even when both parse *)
+let test_repeated_field_refused () =
+  let parse = Ip_module.parse_params Catalog.kcm in
+  (match parse [ ("multiplicand_width", "4"); ("multiplicand_width", "8") ] with
+   | Ok _ -> Alcotest.fail "a repeated field was accepted"
+   | Error message ->
+     Alcotest.(check string) "names the field"
+       "parameter multiplicand_width given twice" message);
+  (match parse [ ("constant", "9"); ("signed", "true"); ("constant", "banana") ] with
+   | Ok _ -> Alcotest.fail "a repeated field was accepted"
+   | Error message ->
+     Alcotest.(check string) "refused before the second value is parsed"
+       "parameter constant given twice" message);
+  match parse [ ("multiplicand_width", "4"); ("constant", "9") ] with
+  | Ok assignment ->
+    Alcotest.(check int) "distinct fields still parse" 4
+      (Ip_module.int_param assignment "multiplicand_width")
+  | Error message -> Alcotest.failf "distinct fields refused: %s" message
+
 let test_build_before_anything () =
   let applet = make () in
   Alcotest.(check bool) "estimate needs build" true
@@ -278,6 +298,8 @@ let suite =
     Alcotest.test_case "evaluator no netlist" `Quick test_evaluator_no_netlist;
     Alcotest.test_case "vendor everything" `Quick test_vendor_everything;
     Alcotest.test_case "param validation" `Quick test_param_validation;
+    Alcotest.test_case "a repeated form field is refused" `Quick
+      test_repeated_field_refused;
     Alcotest.test_case "build before anything" `Quick test_build_before_anything;
     Alcotest.test_case "unsigned negative constant" `Quick
       test_unsigned_negative_constant_refused;

@@ -605,6 +605,135 @@ let test_fuzz_corpus_batch_matches_kernel () =
     done
   done
 
+(* ------------------------------------------------------------------ *)
+(* The one-lane lookups at their edges: LUT1-LUT4 and the SRL16E and
+   RAM16X1S reads under every 0/1/X/Z address, in the one-lane
+   [Simulator] and in a 63-lane [Batch] (vectors spread across lanes),
+   each against [Reference] bit for bit, Z included. The one-lane
+   kernel looks a fully defined address up directly and falls back to
+   the product tree on any X or Z, so these vectors cross that edge
+   from both sides.                                                    *)
+
+let four_valued = [| Bit.Zero; Bit.One; Bit.X; Bit.Z |]
+
+(* all 4^k vectors over {0,1,X,Z}, bit [i] of vector [v] from v's
+   base-4 digit [i] *)
+let address_vectors k =
+  List.init (1 lsl (2 * k)) (fun v ->
+    Array.init k (fun i -> four_valued.((v lsr (2 * i)) land 3)))
+
+(* [load] is a list of clocked steps (inputs, then an edge) run in every
+   kernel and every lane; then each of [reads] (inputs only, no edge)
+   must read the same [out] everywhere *)
+let check_reads ~ctx ?clock design ~load ~reads ~out =
+  let lanes = Batch.max_lanes in
+  let sim = Simulator.create ?clock design in
+  let batch = Batch.create ?clock ~lanes design in
+  let rf = Reference.create ?clock design in
+  List.iter
+    (fun step ->
+       Simulator.set_inputs sim step;
+       Simulator.cycle sim;
+       for lane = 0 to lanes - 1 do
+         Batch.set_inputs batch ~lane step
+       done;
+       Batch.cycle batch;
+       List.iter (fun (port, v) -> Reference.set_input rf port v) step;
+       Reference.cycle rf)
+    load;
+  let reads = Array.of_list reads in
+  let n = Array.length reads in
+  let expected =
+    Array.map
+      (fun read ->
+         List.iter (fun (port, v) -> Reference.set_input rf port v) read;
+         Reference.get_port rf out)
+      reads
+  in
+  let check kernel i got =
+    if not (Bits.equal got expected.(i)) then
+      Alcotest.failf "%s: %s, read {%s}: %s, reference %s" ctx kernel
+        (String.concat " "
+           (List.map (fun (port, v) -> port ^ "=" ^ Bits.to_string v) reads.(i)))
+        (Bits.to_string got) (Bits.to_string expected.(i))
+  in
+  Array.iteri
+    (fun i read ->
+       Simulator.set_inputs sim read;
+       check "one lane" i (Simulator.get_port sim out))
+    reads;
+  let lo = ref 0 in
+  while !lo < n do
+    for lane = 0 to lanes - 1 do
+      Batch.set_inputs batch ~lane reads.((!lo + lane) mod n)
+    done;
+    for lane = 0 to lanes - 1 do
+      let i = (!lo + lane) mod n in
+      check (Printf.sprintf "lane %d of 63" lane) i (Batch.get_port batch ~lane out)
+    done;
+    lo := !lo + lanes
+  done
+
+let test_lut_lookup_edges () =
+  List.iter
+    (fun (k, tables) ->
+       List.iter
+         (fun table ->
+            let top = Cell.root ~name:"top" () in
+            let name i = Printf.sprintf "a%d" i in
+            let a = List.init k (fun i -> Wire.create top ~name:(name i) 1) in
+            let o = Wire.create top ~name:"o" 1 in
+            let _ =
+              Virtex.lut_of_function top a o ~f:(fun addr -> (table lsr addr) land 1 = 1)
+            in
+            let d = Design.create top in
+            List.iteri (fun i w -> Design.add_port d (name i) Types.Input w) a;
+            Design.add_port d "o" Types.Output o;
+            check_reads ~ctx:(Printf.sprintf "LUT%d INIT=%X" k table) d ~load:[]
+              ~reads:
+                (List.map
+                   (fun v -> List.init k (fun i -> (name i, Bits.create 1 v.(i))))
+                   (address_vectors k))
+              ~out:"o")
+         tables)
+    [ (1, [ 0x0; 0x1; 0x2; 0x3 ]);
+      (2, [ 0x0; 0xF; 0x8; 0x6; 0xE ]);
+      (3, [ 0x00; 0xFF; 0x80; 0x96; 0xE8 ]);
+      (4, [ 0x0000; 0xFFFF; 0x8000; 0x0001; 0x6996; 0xCAFE ]) ]
+
+(* cell [j]'s content: every cell kind in several arrangements *)
+let cell_patterns =
+  [ ("cycling", fun j -> four_valued.(j land 3));
+    ("blocks of four", fun j -> four_valued.((j lsr 2) land 3));
+    ("scattered", fun j -> four_valued.(((j * 7) + 1) mod 4));
+    ("one Z among ones", fun j -> if j = 5 then Bit.Z else Bit.One) ]
+
+let test_mem_read_edges () =
+  let bit b = Bits.create 1 b in
+  let reads =
+    List.map (fun v -> [ ("a", Bits.init 4 (fun i -> v.(i))) ]) (address_vectors 4)
+  in
+  List.iter
+    (fun (what, cell) ->
+       (* SRL16E: sixteen shifts leave the value shifted in at step
+          [15 - j] in tap [j] *)
+       let h = srl_harness ~init:0xA5C3 () in
+       check_reads ~ctx:("SRL16E, " ^ what) ?clock:h.clock h.design
+         ~load:
+           (List.init 16 (fun s ->
+              [ ("ce", bit Bit.One); ("d", bit (cell (15 - s)));
+                ("a", Bits.zero 4) ]))
+         ~reads ~out:"q";
+       (* RAM16X1S: one write per cell *)
+       let h = ram_harness ~init:0x3C5A () in
+       check_reads ~ctx:("RAM16X1S, " ^ what) ?clock:h.clock h.design
+         ~load:
+           (List.init 16 (fun j ->
+              [ ("we", bit Bit.One); ("d", bit (cell j));
+                ("a", Bits.of_int ~width:4 j) ]))
+         ~reads ~out:"o")
+    cell_patterns
+
 let suite =
   [ Alcotest.test_case "shift-add vs reference" `Quick test_shift_add_differential;
     Alcotest.test_case "200-seed fuzz corpus: kernel = reference" `Quick
@@ -626,7 +755,11 @@ let suite =
     Alcotest.test_case "63 lanes make a third of one-lane evals" `Quick
       test_batch_evals_beat_one_lane_runs;
     Alcotest.test_case "200-seed fuzz corpus: batch = kernel" `Quick
-      test_fuzz_corpus_batch_matches_kernel ]
+      test_fuzz_corpus_batch_matches_kernel;
+    Alcotest.test_case "LUT1-LUT4 under every 0/1/X/Z address" `Quick
+      test_lut_lookup_edges;
+    Alcotest.test_case "SRL16E/RAM16X1S reads under every 0/1/X/Z address"
+      `Quick test_mem_read_edges ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_kcm_matches_reference;
         prop_memory_matches_reference;

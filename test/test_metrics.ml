@@ -160,6 +160,20 @@ let prop_crc16_table_matches_bitwise =
        Jhdl_logic.Crc16.checksum_sub s pos len = crc16_bitwise s pos len
        && Jhdl_logic.Crc16.checksum s = crc16_bitwise s 0 n)
 
+(* the sliced loop takes 8 bytes a step and the rest one at a time:
+   every length from 0 to 40, each at a random offset, crosses both
+   paths and every tail length *)
+let prop_crc16_sliced_every_length =
+  QCheck.Test.make ~count:200 ~name:"crc16 sliced = bit-serial at lengths 0..40"
+    QCheck.(pair (string_of_size (Gen.int_range 40 96)) small_nat)
+    (fun (s, offset) ->
+       let n = String.length s in
+       List.for_all
+         (fun len ->
+            let pos = offset mod (n - len + 1) in
+            Jhdl_logic.Crc16.checksum_sub s pos len = crc16_bitwise s pos len)
+         (List.init 41 Fun.id))
+
 let suite =
   [ Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "gauge" `Quick test_gauge;
@@ -172,4 +186,5 @@ let suite =
     Alcotest.test_case "json golden" `Quick test_json_golden;
     Alcotest.test_case "trace text" `Quick test_trace_text;
     Alcotest.test_case "crc16 known answers" `Quick test_crc16_known_answers;
-    QCheck_alcotest.to_alcotest prop_crc16_table_matches_bitwise ]
+    QCheck_alcotest.to_alcotest prop_crc16_table_matches_bitwise;
+    QCheck_alcotest.to_alcotest prop_crc16_sliced_every_length ]

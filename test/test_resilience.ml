@@ -438,6 +438,39 @@ let test_generator_raise_is_a_refusal () =
     Alcotest.failf "another user's valid request was refused: %s"
       r.Server.rej_reason
 
+(* a repeated form field is refused before the download, so the
+   download breaker never hears of it *)
+let test_repeated_field_is_a_refusal () =
+  let breaker = Breaker.create ~name:"download" ~seed:9 () in
+  let server = Server.create ~vendor:"test-vendor" ~breaker () in
+  ignore (Server.publish server Catalog.kcm);
+  Server.register_user server ~user:"eve" ~tier:License.Licensed;
+  Server.register_user server ~user:"bob" ~tier:License.Licensed;
+  for i = 0 to 2 do
+    match
+      Server.user_request server ~now:(0.1 *. float_of_int i) ~user:"eve"
+        ~ip_name:"VirtexKCMMultiplier"
+        ~params:[ ("multiplicand_width", "4"); ("multiplicand_width", "8") ]
+        ~link:Download.dsl_1m ()
+    with
+    | Ok _ -> Alcotest.failf "repeated field %d was served" i
+    | Error r ->
+      Alcotest.(check string) "names the field"
+        "bad parameters for VirtexKCMMultiplier: parameter multiplicand_width \
+         given twice"
+        r.Server.rej_reason;
+      Alcotest.(check bool) "refused, not shed" true (r.Server.rej_shed = None)
+  done;
+  Alcotest.(check string) "the breaker stays closed" "closed"
+    (Breaker.state_name (Breaker.state breaker));
+  match
+    Server.user_request server ~now:0.5 ~user:"bob" ~ip_name:"VirtexKCMMultiplier"
+      ~params:[ ("multiplicand_width", "8") ] ~link:Download.dsl_1m ()
+  with
+  | Ok _ -> ()
+  | Error r ->
+    Alcotest.failf "another user's valid request was refused: %s" r.Server.rej_reason
+
 (* whatever a form holds, the front door answers with a session or a
    typed refusal: each field is a schema parameter (or a stray name)
    with a value in or just outside its range, or junk *)
@@ -656,6 +689,8 @@ let suite =
       test_failure_paths_counted;
     Alcotest.test_case "a generator raise is a typed refusal" `Quick
       test_generator_raise_is_a_refusal;
+    Alcotest.test_case "a repeated form field is a typed refusal" `Quick
+      test_repeated_field_is_a_refusal;
     Alcotest.test_case "server breaker trips and recovers" `Quick
       test_server_breaker_trips_and_recovers;
     Alcotest.test_case "chaos invariants hold across seeds" `Slow
