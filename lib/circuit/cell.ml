@@ -154,6 +154,27 @@ let rec iter_rec f c =
   f c;
   List.iter (iter_rec f) (children c)
 
+(* [a ^ "/" ^ b] in one allocation *)
+let join a b =
+  let la = String.length a and lb = String.length b in
+  let s = Bytes.create (la + 1 + lb) in
+  Bytes.blit_string a 0 s 0 la;
+  Bytes.unsafe_set s la '/';
+  Bytes.blit_string b 0 s (la + 1) lb;
+  Bytes.unsafe_to_string s
+
+let iter_paths f c =
+  let rec below path c =
+    List.iter
+      (fun child ->
+         let p = if path = "" then child.cell_name else join path child.cell_name in
+         f child p;
+         below p child)
+      (children c)
+  in
+  f c "";
+  below "" c
+
 let fold_prims f acc c =
   let acc = ref acc in
   iter_rec (fun c -> if is_primitive c then acc := f !acc c) c;

@@ -100,6 +100,14 @@ val clear_rloc : t -> unit
     children. *)
 val iter_rec : (t -> unit) -> t -> unit
 
+(** [iter_paths f c] visits what {!iter_rec} visits, in the same order,
+    with each cell's instance path relative to [c]: [f c ""] first, then
+    [f d p] for every descendant [d], where [p] is ["a/b"] for child [b]
+    of child [a]. [Cell.path d] is [Cell.path c ^ "/" ^ p]. Each path
+    costs one allocation, made from its parent's, where {!path}
+    rebuilds every ancestor's. *)
+val iter_paths : (t -> string -> unit) -> t -> unit
+
 (** [fold_prims f acc c] folds over all primitive instances below (and
     including) [c]. *)
 val fold_prims : ('a -> t -> 'a) -> 'a -> t -> 'a

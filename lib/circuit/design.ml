@@ -65,24 +65,35 @@ let net_label n =
   | Some w -> Wire.full_name w
   | None -> Printf.sprintf "net#%d" n.net_id
 
+(* Only [Wire.create] adds to a cell's [owned_wires], and it creates the
+   wire's nets along with it; views ([Wire.bit], [slice], [concat])
+   share nets but are never declared. So each net belongs to exactly one
+   declared wire, and visiting every cell's declared wires, oldest
+   first, meets each net once. [all_nets], [net_count] and [iter_paths]
+   all rest on this walk, and so meet the nets in the same order. *)
+let iter_declared f c =
+  List.iter (fun w -> if not w.wire_is_view then f w) (List.rev c.owned_wires)
+
 let all_nets d =
-  let seen = Hashtbl.create 256 in
   let acc = ref [] in
   Cell.iter_rec
-    (fun c ->
-       List.iter
-         (fun w ->
-            if not w.wire_is_view then
-              Array.iter
-                (fun n ->
-                   if not (Hashtbl.mem seen n.net_id) then begin
-                     Hashtbl.replace seen n.net_id ();
-                     acc := n :: !acc
-                   end)
-                w.nets)
-         (List.rev c.owned_wires))
+    (iter_declared (fun w -> Array.iter (fun n -> acc := n :: !acc) w.nets))
     d.design_root;
   List.rev !acc
+
+let net_count d =
+  let count = ref 0 in
+  Cell.iter_rec
+    (iter_declared (fun w -> count := !count + Array.length w.nets))
+    d.design_root;
+  !count
+
+let iter_paths d ~cell ~wire =
+  Cell.iter_paths
+    (fun c path ->
+       iter_declared (wire path) c;
+       cell c path)
+    d.design_root
 
 let all_prims d =
   List.rev (Cell.fold_prims (fun acc c -> c :: acc) [] d.design_root)
@@ -180,7 +191,7 @@ let stats d =
     d.design_root;
   { composite_cells = !composites;
     primitive_instances = !prims;
-    nets = List.length (all_nets d);
+    nets = net_count d;
     declared_wires = !wires;
     max_depth = !max_depth;
     prims_by_type =

@@ -70,6 +70,21 @@ val pp_stats : Format.formatter -> stats -> unit
 (** [all_prims d] lists every primitive instance, in hierarchy order. *)
 val all_prims : t -> Cell.t list
 
-(** [all_nets d] lists every net reachable from declared wires of the
-    design, without duplicates, in creation order. *)
+(** [all_nets d] lists every net of the design's declared (non-view)
+    wires, in hierarchy order and, within a cell, in the order its wires
+    were declared. Each net belongs to exactly one declared wire, so
+    none repeats. *)
 val all_nets : t -> Types.net list
+
+(** [net_count d] is [List.length (all_nets d)], counted without
+    building the list. *)
+val net_count : t -> int
+
+(** [iter_paths d ~cell ~wire] walks the hierarchy once, in
+    {!Cell.iter_paths} order, carrying each cell's instance path
+    relative to the root ([""] for the root itself). At each cell [c]
+    with path [p] it calls [wire p w] for every wire [w] that [c]
+    declares, oldest first, then [cell c p]. The nets of those wires,
+    taken in turn, are {!all_nets}, in the same order. *)
+val iter_paths :
+  t -> cell:(Cell.t -> string -> unit) -> wire:(string -> Wire.t -> unit) -> unit

@@ -24,7 +24,15 @@ type t =
   | Black_box of { model_name : string; make_behavior : unit -> behavior }
 
 let name = function
-  | Lut init -> Printf.sprintf "LUT%d" (Jhdl_logic.Lut_init.inputs init)
+  | Lut init ->
+    (match Jhdl_logic.Lut_init.inputs init with
+     | 1 -> "LUT1"
+     | 2 -> "LUT2"
+     | 3 -> "LUT3"
+     | 4 -> "LUT4"
+     | 5 -> "LUT5"
+     | 6 -> "LUT6"
+     | k -> "LUT" ^ string_of_int k)
   | Ff { clock_enable; async_clear; sync_reset; _ } ->
     (match clock_enable, async_clear, sync_reset with
      | true, true, _ -> "FDCE"

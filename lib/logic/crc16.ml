@@ -37,10 +37,10 @@ let tables =
 let[@inline] byte s i = Char.code (String.unsafe_get s i)
 let[@inline] at k b = Array.unsafe_get tables ((k * 256) + b)
 
-let checksum_sub s pos len =
+let update crc s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Crc16.checksum_sub";
-  let crc = ref 0xFFFF in
+    invalid_arg "Crc16.update";
+  let crc = ref crc in
   let i = ref pos in
   let last_block = pos + len - 8 in
   while !i <= last_block do
@@ -61,4 +61,5 @@ let checksum_sub s pos len =
   done;
   !crc
 
-let checksum s = checksum_sub s 0 (String.length s)
+let checksum_sub s pos len = update 0xFFFF s pos len
+let checksum s = update 0xFFFF s 0 (String.length s)

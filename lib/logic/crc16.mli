@@ -11,3 +11,11 @@ val checksum_sub : string -> int -> int -> int
 (** [checksum_sub s pos len] is [checksum (String.sub s pos len)],
     computed in place. Raises [Invalid_argument] when the range is not
     within [s]. *)
+
+val update : int -> string -> int -> int -> int
+(** [update crc s pos len] continues a checksum: it shifts [len] bytes
+    of [s], from [pos], through the register value [crc].
+    [checksum_sub s pos len] is [update 0xFFFF s pos len], and the
+    checksum of two ranges laid end to end is
+    [update (update 0xFFFF s p1 l1) s p2 l2], with nothing copied.
+    Raises [Invalid_argument] when the range is not within [s]. *)

@@ -32,7 +32,7 @@ let of_hex ~inputs s =
   let init = int_of_string ("0x" ^ s) in
   of_int ~inputs init
 
-let to_hex t = Printf.sprintf "%0*X" (hex_digits t) t.table
+let to_hex t = Hex.upper ~width:(hex_digits t) t.table
 
 let eval_int t addr =
   if addr < 0 || addr >= 1 lsl t.inputs then

@@ -1,107 +1,142 @@
 open Jhdl_circuit.Types
 
 let header_libraries = "VIRTEX"
-
-(* One buffer-based emitter with explicit indentation; EDIF is an
-   s-expression format so nesting discipline is the whole game. *)
-type emitter = {
-  buffer : Buffer.t;
-  mutable indent : int;
-}
-
-let line e fmt =
-  Printf.ksprintf
-    (fun s ->
-       Buffer.add_string e.buffer (String.make (2 * e.indent) ' ');
-       Buffer.add_string e.buffer s;
-       Buffer.add_char e.buffer '\n')
-    fmt
-
-let enter e fmt =
-  Printf.ksprintf
-    (fun s ->
-       line e "%s" s;
-       e.indent <- e.indent + 1)
-    fmt
-
-let leave e =
-  e.indent <- e.indent - 1;
-  line e ")"
-
 let dir_keyword = function Input -> "INPUT" | Output -> "OUTPUT"
 
+(* EDIF is an s-expression format, so nesting discipline is the whole
+   game. Every line goes straight into one buffer: two spaces per level
+   of nesting cut from [spaces], then the line's pieces. The writer
+   nests eight levels at most. *)
+let spaces = String.make 16 ' '
+
 let to_string (m : Model.t) =
-  let e = { buffer = Buffer.create 4096; indent = 0 } in
-  let ids = Ident.create Ident.Edif in
-  let id s = Ident.legalize ids s in
-  let design_id = id m.Model.design_name in
-  enter e "(edif %s" design_id;
-  line e "(edifVersion 2 0 0)";
-  line e "(edifLevel 0)";
-  line e "(keywordMap (keywordLevel 0))";
-  enter e "(status (written (timeStamp 2002 6 10 0 0 0)";
-  line e "(program \"JHDL-OCaml\" (version \"1.0\"))))";
-  e.indent <- e.indent - 1;
-  (* library of technology cells *)
-  enter e "(library %s" header_libraries;
-  line e "(edifLevel 0)";
-  line e "(technology (numberDefinition))";
-  List.iter
-    (fun (cell_name, ports) ->
-       enter e "(cell %s (cellType GENERIC)" (id cell_name);
-       enter e "(view view_1 (viewType NETLIST)";
-       enter e "(interface";
-       List.iter
-         (fun (port, dir) ->
-            line e "(port %s (direction %s))" (id port) (dir_keyword dir))
-         ports;
-       leave e;
-       leave e;
-       leave e)
-    (Model.lib_cells m);
-  leave e;
-  (* the design library holding the single flattened cell *)
-  enter e "(library work";
-  line e "(edifLevel 0)";
-  line e "(technology (numberDefinition))";
-  enter e "(cell %s (cellType GENERIC)" design_id;
-  enter e "(view view_1 (viewType NETLIST)";
-  enter e "(interface";
-  List.iter
-    (fun p ->
-       if p.Model.p_width = 1 then
-         line e "(port %s (direction %s))" (id p.Model.p_name)
-           (dir_keyword p.Model.p_dir)
-       else
-         line e "(port (array %s %d) (direction %s))" (id p.Model.p_name)
-           p.Model.p_width (dir_keyword p.Model.p_dir))
-    m.Model.ports;
-  leave e;
-  enter e "(contents";
+  let instances = m.Model.instances and nets = m.Model.nets in
+  (* the instance pins on each net, bucketed by net in instance order:
+     pins of net [k] sit at [first.(k)] to [first.(k + 1) - 1] of
+     [pin_instance] and [pin_port] *)
+  let first = Array.make (Array.length nets + 1) 0 in
   Array.iter
     (fun inst ->
-       enter e "(instance %s" (id ("i/" ^ inst.Model.inst_name));
-       line e "(viewRef view_1 (cellRef %s (libraryRef %s)))"
-         (id inst.Model.inst_lib_cell) header_libraries;
        List.iter
-         (fun a ->
-            line e "(property %s (string \"%s\"))" a.Model.attr_name
-              a.Model.attr_value)
-         inst.Model.inst_attrs;
-       leave e)
-    m.Model.instances;
-  (* nets: port refs to instances plus, where applicable, the external
-     interface ports *)
-  let port_refs_of_net = Array.make (Array.length m.Model.nets) [] in
+         (fun c -> first.(c.Model.conn_net + 1) <- first.(c.Model.conn_net + 1) + 1)
+         inst.Model.inst_conns)
+    instances;
+  for k = 1 to Array.length nets do
+    first.(k) <- first.(k) + first.(k - 1)
+  done;
+  let pins = first.(Array.length nets) in
+  let pin_instance = Array.make pins 0 and pin_port = Array.make pins "" in
+  let fill = Array.sub first 0 (Array.length nets) in
   Array.iteri
-    (fun inst_idx inst ->
+    (fun i inst ->
        List.iter
          (fun c ->
-            port_refs_of_net.(c.Model.conn_net) <-
-              (inst_idx, c.Model.conn_port) :: port_refs_of_net.(c.Model.conn_net))
+            let k = c.Model.conn_net in
+            pin_instance.(fill.(k)) <- i;
+            pin_port.(fill.(k)) <- c.Model.conn_port;
+            fill.(k) <- fill.(k) + 1)
          inst.Model.inst_conns)
-    m.Model.instances;
-  let external_refs = Array.make (Array.length m.Model.nets) [] in
+    instances;
+  (* 4 KB of header and declarations, then about a line for each
+     instance, pin and net: under 96 bytes apiece, names included, on
+     the catalog's designs, so the buffer rarely grows *)
+  let b = Buffer.create (4096 + 96 * (Array.length instances + pins + Array.length nets)) in
+  let add s = Buffer.add_string b s in
+  let at depth = Buffer.add_substring b spaces 0 (2 * depth) in
+  let close depth =
+    at depth;
+    add ")\n"
+  in
+  let ids = Ident.create Ident.Edif in
+  let id s = Ident.legalize ids s in
+  let port_line depth name width dir =
+    at depth;
+    if width = 1 then begin
+      add "(port ";
+      add name
+    end
+    else begin
+      add "(port (array ";
+      add name;
+      add " ";
+      add (string_of_int width);
+      add ")"
+    end;
+    add " (direction ";
+    add (dir_keyword dir);
+    add "))\n"
+  in
+  let design_id = id m.Model.design_name in
+  add "(edif ";
+  add design_id;
+  add "\n";
+  add "  (edifVersion 2 0 0)\n";
+  add "  (edifLevel 0)\n";
+  add "  (keywordMap (keywordLevel 0))\n";
+  add "  (status (written (timeStamp 2002 6 10 0 0 0)\n";
+  add "    (program \"JHDL-OCaml\" (version \"1.0\"))))\n";
+  (* library of technology cells *)
+  add "  (library ";
+  add header_libraries;
+  add "\n";
+  add "    (edifLevel 0)\n";
+  add "    (technology (numberDefinition))\n";
+  List.iter
+    (fun (cell_name, ports) ->
+       at 2;
+       add "(cell ";
+       add (id cell_name);
+       add " (cellType GENERIC)\n";
+       add "      (view view_1 (viewType NETLIST)\n";
+       add "        (interface\n";
+       List.iter (fun (port, dir) -> port_line 5 (id port) 1 dir) ports;
+       close 4;
+       close 3;
+       close 2)
+    (Model.lib_cells m);
+  close 1;
+  (* the design library holding the single flattened cell *)
+  add "  (library work\n";
+  add "    (edifLevel 0)\n";
+  add "    (technology (numberDefinition))\n";
+  add "    (cell ";
+  add design_id;
+  add " (cellType GENERIC)\n";
+  add "      (view view_1 (viewType NETLIST)\n";
+  add "        (interface\n";
+  List.iter
+    (fun p -> port_line 5 (id p.Model.p_name) p.Model.p_width p.Model.p_dir)
+    m.Model.ports;
+  close 4;
+  add "        (contents\n";
+  (* each instance name is legalized once, here; port references index
+     the array *)
+  let instance_ids =
+    Array.map
+      (fun inst ->
+         let name = id ("i/" ^ inst.Model.inst_name) in
+         add "          (instance ";
+         add name;
+         add "\n";
+         add "            (viewRef view_1 (cellRef ";
+         add (id inst.Model.inst_lib_cell);
+         add " (libraryRef ";
+         add header_libraries;
+         add ")))\n";
+         List.iter
+           (fun a ->
+              add "            (property ";
+              add a.Model.attr_name;
+              add " (string \"";
+              add a.Model.attr_value;
+              add "\"))\n")
+           inst.Model.inst_attrs;
+         close 5;
+         name)
+      instances
+  in
+  (* the external interface ports on each net, newest first *)
+  let external_refs = Array.make (Array.length nets) [] in
   List.iter
     (fun p ->
        Array.iteri
@@ -112,31 +147,48 @@ let to_string (m : Model.t) =
     m.Model.ports;
   Array.iter
     (fun n ->
-       let idx = n.Model.net_index in
-       if port_refs_of_net.(idx) <> [] || external_refs.(idx) <> [] then begin
-         enter e "(net %s" (id ("n/" ^ n.Model.net_name));
-         enter e "(joined";
-         List.iter
-           (fun (inst_idx, port) ->
-              let inst = m.Model.instances.(inst_idx) in
-              line e "(portRef %s (instanceRef %s))" (id port)
-                (id ("i/" ^ inst.Model.inst_name)))
-           (List.rev port_refs_of_net.(idx));
+       let k = n.Model.net_index in
+       if first.(k) < first.(k + 1) || external_refs.(k) <> [] then begin
+         add "          (net ";
+         add (id ("n/" ^ n.Model.net_name));
+         add "\n";
+         add "            (joined\n";
+         for pin = first.(k) to first.(k + 1) - 1 do
+           add "              (portRef ";
+           add (id pin_port.(pin));
+           add " (instanceRef ";
+           add instance_ids.(pin_instance.(pin));
+           add "))\n"
+         done;
          List.iter
            (fun (pname, pwidth, bit) ->
-              if pwidth = 1 then line e "(portRef %s)" (id pname)
-              else line e "(portRef (member %s %d))" (id pname) (pwidth - 1 - bit))
-           (List.rev external_refs.(idx));
-         leave e;
-         leave e
+              if pwidth = 1 then begin
+                add "              (portRef ";
+                add (id pname);
+                add ")\n"
+              end
+              else begin
+                add "              (portRef (member ";
+                add (id pname);
+                add " ";
+                add (string_of_int (pwidth - 1 - bit));
+                add "))\n"
+              end)
+           (List.rev external_refs.(k));
+         close 6;
+         close 5
        end)
-    m.Model.nets;
-  leave e;
-  leave e;
-  leave e;
-  leave e;
-  line e "(design %s (cellRef %s (libraryRef work)))" design_id design_id;
-  leave e;
-  Buffer.contents e.buffer
+    nets;
+  close 4;
+  close 3;
+  close 2;
+  close 1;
+  add "  (design ";
+  add design_id;
+  add " (cellRef ";
+  add design_id;
+  add " (libraryRef work)))\n";
+  close 0;
+  Buffer.contents b
 
 let of_design d = to_string (Model.of_design d)

@@ -4,77 +4,86 @@ type sexp =
 
 exception Parse_error of string
 
-(* Recursive-descent s-expression parser; atoms are bare words or
-   double-quoted strings. *)
+let max_depth = 1024
+
+(* Iterative s-expression parser; atoms are bare words or double-quoted
+   strings. The lists still open wait on an explicit stack, each holding
+   its items newest first, so nesting costs heap words instead of
+   native stack, and a list opened past [max_depth] is refused before
+   it costs anything. *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let error message =
     raise (Parse_error (Printf.sprintf "%s at offset %d" message !pos))
   in
-  let rec skip_ws () =
-    if !pos < n then
-      match s.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        incr pos;
-        skip_ws ()
-      | '(' | ')' | '"' | '!' .. '~' | _ -> ()
+  let skip_ws () =
+    while
+      !pos < n
+      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    do
+      incr pos
+    done
   in
   let atom () =
     let start = !pos in
-    let rec go () =
-      if !pos < n then
-        match s.[!pos] with
-        | ' ' | '\t' | '\n' | '\r' | '(' | ')' -> ()
-        | _ ->
-          incr pos;
-          go ()
-    in
-    go ();
-    if !pos = start then error "empty atom";
+    while
+      !pos < n
+      && (match s.[!pos] with
+          | ' ' | '\t' | '\n' | '\r' | '(' | ')' -> false
+          | _ -> true)
+    do
+      incr pos
+    done;
     Atom (String.sub s start (!pos - start))
   in
   let quoted () =
     incr pos;
     let start = !pos in
-    let rec go () =
-      if !pos >= n then error "unterminated string"
-      else if s.[!pos] = '"' then ()
-      else begin
-        incr pos;
-        go ()
-      end
-    in
-    go ();
+    while !pos < n && s.[!pos] <> '"' do
+      incr pos
+    done;
+    if !pos >= n then error "unterminated string";
     let content = String.sub s start (!pos - start) in
     incr pos;
     Atom content
   in
-  let rec expr () =
+  (* the open lists, innermost first, and how many there are *)
+  let open_lists = ref [] and depth = ref 0 in
+  (* [next] reads on until an expression closes at the top level and
+     returns it; [finish] hands a closed expression to the innermost open
+     list. Both calls are tail calls. *)
+  let rec next () =
     skip_ws ();
-    if !pos >= n then error "unexpected end of input"
-    else
-      match s.[!pos] with
-      | '(' ->
-        incr pos;
-        let items = ref [] in
-        let rec items_loop () =
-          skip_ws ();
-          if !pos >= n then error "unterminated list"
-          else if s.[!pos] = ')' then incr pos
-          else begin
-            items := expr () :: !items;
-            items_loop ()
-          end
-        in
-        items_loop ();
-        List (List.rev !items)
-      | ')' -> error "unexpected )"
-      | '"' -> quoted ()
-      | _ -> atom ()
+    if !pos >= n then
+      error (if !depth = 0 then "unexpected end of input" else "unterminated list");
+    match s.[!pos] with
+    | '(' ->
+      if !depth >= max_depth then
+        error (Printf.sprintf "lists nested deeper than %d" max_depth);
+      incr pos;
+      open_lists := ref [] :: !open_lists;
+      incr depth;
+      next ()
+    | ')' ->
+      (match !open_lists with
+       | [] -> error "unexpected )"
+       | items :: outer ->
+         incr pos;
+         open_lists := outer;
+         decr depth;
+         finish (List (List.rev !items)))
+    | '"' -> finish (quoted ())
+    | _ -> finish (atom ())
+  and finish e =
+    match !open_lists with
+    | [] -> e
+    | items :: _ ->
+      items := e :: !items;
+      next ()
   in
   match
-    let e = expr () in
+    let e = next () in
     skip_ws ();
     if !pos <> n then error "trailing content";
     e

@@ -9,7 +9,14 @@ type sexp =
   | Atom of string
   | List of sexp list
 
-(** [parse s] — [Error message] on malformed input (with position). *)
+(** [max_depth] is the deepest list nesting {!parse} accepts: 1 024,
+    about a hundred times what the EDIF writer nests. *)
+val max_depth : int
+
+(** [parse s] — [Error message] on malformed input (with position),
+    and on a list nested deeper than {!max_depth}, refused at the
+    parenthesis that opens it with a message naming the limit. Runs in
+    time linear in [s], with no recursion. *)
 val parse : string -> (sexp, string) result
 
 type summary = {

@@ -3,15 +3,15 @@ type style =
   | Vhdl
   | Verilog
 
+module Names = Hashtbl.Make (String)
+
 type t = {
   style : style;
-  forward : (string, string) Hashtbl.t;
-  taken : (string, unit) Hashtbl.t;
-  mutable order : (string * string) list; (* reverse first-use order *)
+  forward : string Names.t;
+  taken : unit Names.t;
 }
 
-let create style =
-  { style; forward = Hashtbl.create 64; taken = Hashtbl.create 64; order = [] }
+let create style = { style; forward = Names.create 1024; taken = Names.create 1024 }
 
 let vhdl_reserved =
   [ "abs"; "access"; "after"; "alias"; "all"; "and"; "architecture"; "array";
@@ -45,76 +45,74 @@ let verilog_reserved =
     "tri1"; "triand"; "trior"; "trireg"; "vectored"; "wait"; "wand";
     "weak0"; "weak1"; "while"; "wire"; "wor"; "xnor"; "xor" ]
 
-let is_word_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_'
+let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+let is_word_char c = is_letter c || (c >= '0' && c <= '9') || c = '_'
 
 let is_reserved style s =
-  let reserved =
-    match style with
-    | Vhdl -> vhdl_reserved
-    | Verilog -> verilog_reserved
-    | Edif -> []
-  in
-  List.mem (String.lowercase_ascii s) reserved
+  match style with
+  | Vhdl -> List.mem (String.lowercase_ascii s) vhdl_reserved
+  | Verilog -> List.mem (String.lowercase_ascii s) verilog_reserved
+  | Edif -> false
 
 let case_key style s =
   match style with
   | Vhdl -> String.lowercase_ascii s
   | Edif | Verilog -> s
 
+(* every character outside the identifier syntax becomes '_', behind an
+   'n' when the name would not start with a letter *)
+let word name =
+  let n = String.length name in
+  if n = 0 then "n"
+  else begin
+    let off = if is_letter (String.unsafe_get name 0) then 0 else 1 in
+    let s = Bytes.create (n + off) in
+    Bytes.unsafe_set s 0 'n';
+    for i = 0 to n - 1 do
+      let c = String.unsafe_get name i in
+      Bytes.unsafe_set s (i + off) (if is_word_char c then c else '_')
+    done;
+    Bytes.unsafe_to_string s
+  end
+
+(* VHDL forbids double and trailing underscores *)
+let vhdl_word s =
+  let n = String.length s in
+  let b = Bytes.create (n + 1) in
+  let len = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c <> '_' || i = 0 || String.unsafe_get s (i - 1) <> '_' then begin
+      Bytes.unsafe_set b !len c;
+      incr len
+    end
+  done;
+  if Bytes.get b (!len - 1) = '_' then begin
+    Bytes.unsafe_set b !len 'n';
+    incr len
+  end;
+  Bytes.sub_string b 0 !len
+
 let sanitize style name =
-  let buffer = Buffer.create (String.length name) in
-  String.iter
-    (fun c -> Buffer.add_char buffer (if is_word_char c then c else '_'))
-    name;
-  let s = Buffer.contents buffer in
-  let s = if s = "" then "n" else s in
-  let s =
-    if (s.[0] >= '0' && s.[0] <= '9') || s.[0] = '_' then "n" ^ s else s
-  in
-  (* VHDL forbids double and trailing underscores *)
-  let s =
-    match style with
-    | Vhdl ->
-      let b = Buffer.create (String.length s) in
-      let last_underscore = ref false in
-      String.iter
-        (fun c ->
-           if c = '_' then begin
-             if not !last_underscore then Buffer.add_char b c;
-             last_underscore := true
-           end
-           else begin
-             Buffer.add_char b c;
-             last_underscore := false
-           end)
-        s;
-      let s = Buffer.contents b in
-      if String.length s > 0 && s.[String.length s - 1] = '_' then s ^ "n"
-      else s
-    | Edif | Verilog -> s
-  in
+  let s = word name in
+  let s = match style with Vhdl -> vhdl_word s | Edif | Verilog -> s in
   if is_reserved style s then s ^ "_id" else s
 
+(* the first [base_k] the table has not taken *)
+let rec pick t base k =
+  let candidate = base ^ "_" ^ string_of_int k in
+  if Names.mem t.taken (case_key t.style candidate) then pick t base (k + 1)
+  else candidate
+
 let legalize t name =
-  match Hashtbl.find_opt t.forward name with
+  match Names.find_opt t.forward name with
   | Some s -> s
   | None ->
     let base = sanitize t.style name in
-    let key s = case_key t.style s in
     let chosen =
-      if not (Hashtbl.mem t.taken (key base)) then base
-      else
-        let rec pick k =
-          let candidate = Printf.sprintf "%s_%d" base k in
-          if Hashtbl.mem t.taken (key candidate) then pick (k + 1) else candidate
-        in
-        pick 1
+      if Names.mem t.taken (case_key t.style base) then pick t base 1 else base
     in
-    Hashtbl.replace t.taken (key chosen) ();
-    Hashtbl.replace t.forward name chosen;
-    t.order <- (name, chosen) :: t.order;
+    (* neither table holds its key yet *)
+    Names.add t.taken (case_key t.style chosen) ();
+    Names.add t.forward name chosen;
     chosen
-
-let mapping t = List.rev t.order

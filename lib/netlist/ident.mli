@@ -20,9 +20,6 @@ val create : style -> t
     distinct inputs never collide. *)
 val legalize : t -> string -> string
 
-(** [mapping t] lists [(original, legalized)] pairs in first-use order. *)
-val mapping : t -> (string * string) list
-
 (** [sanitize style name] is the stateless first step of {!legalize}: the
     name rewritten into the style's identifier syntax, before any
     collision uniquification. Exposed for the lint engine, which checks

@@ -4,6 +4,7 @@ module Wire = Jhdl_circuit.Wire
 module Design = Jhdl_circuit.Design
 module Prim = Jhdl_circuit.Prim
 module Lut_init = Jhdl_logic.Lut_init
+module Hex = Jhdl_logic.Hex
 module Bit = Jhdl_logic.Bit
 
 type attribute = {
@@ -46,97 +47,131 @@ type t = {
   instances : instance array;
 }
 
-(* Path of a cell relative to the design root ("" for the root itself). *)
-let relative_path root c =
-  let full = Cell.path c and root_name = Cell.name root in
-  if String.equal full root_name then ""
-  else String.sub full (String.length root_name + 1)
-         (String.length full - String.length root_name - 1)
+(* net and cell ids are allocated in sequence, so they hash as themselves *)
+module Ids = Hashtbl.Make (struct
+    type t = int
 
-let net_base_name root n =
-  match n.source_wire with
-  | None -> Printf.sprintf "net%d" n.net_id
-  | Some w ->
-    let owner_path = relative_path root w.wire_owner in
-    let base =
-      if owner_path = "" then w.wire_name else owner_path ^ "/" ^ w.wire_name
+    let equal = Int.equal
+    let hash id = id
+  end)
+
+(* [base ^ "[" ^ string_of_int i ^ "]"], the name of bit [i] of a bus *)
+let indexed base i =
+  let digits = string_of_int i in
+  let lb = String.length base and ld = String.length digits in
+  let s = Bytes.create (lb + ld + 2) in
+  Bytes.blit_string base 0 s 0 lb;
+  Bytes.unsafe_set s lb '[';
+  Bytes.blit_string digits 0 s (lb + 1) ld;
+  Bytes.unsafe_set s (lb + ld + 1) ']';
+  Bytes.unsafe_to_string s
+
+let init_attr value = { attr_name = "INIT"; attr_value = value }
+
+(* INIT first, then RLOC, then the cell's own properties in the order
+   they were set *)
+let attributes c prim =
+  let rest =
+    let properties =
+      List.rev_map (fun (k, v) -> { attr_name = k; attr_value = v }) c.properties
     in
-    if Array.length w.nets = 1 then base
-    else Printf.sprintf "%s[%d]" base n.source_bit
-
-let prim_attributes prim =
+    match c.rloc with
+    | Some (r, col) ->
+      { attr_name = "RLOC";
+        attr_value = String.concat "" [ "R"; string_of_int r; "C"; string_of_int col ] }
+      :: properties
+    | None -> properties
+  in
   match prim with
-  | Prim.Lut init -> [ { attr_name = "INIT"; attr_value = Lut_init.to_hex init } ]
+  | Prim.Lut init -> init_attr (Lut_init.to_hex init) :: rest
   | Prim.Srl16 { init } | Prim.Ram16x1 { init } ->
-    [ { attr_name = "INIT"; attr_value = Printf.sprintf "%04X" init } ]
+    init_attr (Hex.upper ~width:4 init) :: rest
   | Prim.Ff { init; _ } ->
-    [ { attr_name = "INIT";
-        attr_value = (match init with Bit.One -> "1" | Bit.Zero | Bit.X | Bit.Z -> "0") } ]
+    init_attr (match init with Bit.One -> "1" | Bit.Zero | Bit.X | Bit.Z -> "0")
+    :: rest
   | Prim.Muxcy | Prim.Xorcy | Prim.Mult_and | Prim.Buf | Prim.Inv | Prim.Gnd
-  | Prim.Vcc | Prim.Black_box _ -> []
+  | Prim.Vcc | Prim.Black_box _ -> rest
 
+let connection net_index b port n =
+  { conn_port = port; conn_dir = b.dir; conn_net = Ids.find net_index n.net_id }
+
+(* one connection per bit, bindings in the order they were made; a
+   cell keeps its bindings newest first *)
+let connections net_index c =
+  List.fold_left
+    (fun acc b ->
+       let nets = b.actual.nets in
+       if Array.length nets = 1 then connection net_index b b.formal nets.(0) :: acc
+       else begin
+         let acc = ref acc in
+         for i = Array.length nets - 1 downto 0 do
+           acc := connection net_index b (indexed b.formal i) nets.(i) :: !acc
+         done;
+         !acc
+       end)
+    [] c.port_bindings
+
+(* One walk over the hierarchy, carrying each cell's path relative to
+   the root: each net is named after the declared wire that holds it, in
+   the order of [Design.all_nets], and primitives come in the order of
+   [Design.all_prims]. *)
 let of_design d =
   let root = Design.root d in
-  (* keep nets that touch a primitive or a top-level port *)
-  let port_net_ids = Hashtbl.create 64 in
+  let port_nets = Ids.create 64 in
   List.iter
     (fun p ->
        Array.iter
-         (fun n -> Hashtbl.replace port_net_ids n.net_id ())
+         (fun n -> Ids.replace port_nets n.net_id ())
          (Wire.nets p.Design.port_wire))
     (Design.ports d);
-  let keep n =
-    n.driver <> None || n.sinks <> [] || Hashtbl.mem port_net_ids n.net_id
+  (* keep nets that touch a primitive or a top-level port *)
+  let net_index = Ids.create 1024 and kept = ref [] and n_kept = ref 0 in
+  let inst_index = Ids.create 1024 and prims = ref [] and n_prims = ref 0 in
+  Design.iter_paths d
+    ~wire:(fun path w ->
+      let base = if path = "" then w.wire_name else path ^ "/" ^ w.wire_name in
+      let scalar = Array.length w.nets = 1 in
+      Array.iteri
+        (fun bit n ->
+           if Option.is_some n.driver || n.sinks <> [] || Ids.mem port_nets n.net_id
+           then begin
+             Ids.add net_index n.net_id !n_kept;
+             incr n_kept;
+             kept := (n, if scalar then base else indexed base bit) :: !kept
+           end)
+        w.nets)
+    ~cell:(fun c path ->
+      match c.kind with
+      | Primitive prim ->
+        Ids.add inst_index c.cell_id !n_prims;
+        incr n_prims;
+        prims := (c, prim, path) :: !prims
+      | Composite _ -> ());
+  let instances =
+    Array.of_list
+      (List.rev_map
+         (fun (c, prim, path) ->
+            { inst_name = path;
+              inst_lib_cell = Prim.name prim;
+              inst_prim = prim;
+              inst_conns = connections net_index c;
+              inst_attrs = attributes c prim })
+         !prims)
   in
-  let kept_nets = List.filter keep (Design.all_nets d) in
-  let net_index = Hashtbl.create 256 in
-  List.iteri (fun i n -> Hashtbl.replace net_index n.net_id i) kept_nets;
-  let prims = Design.all_prims d in
-  let inst_index = Hashtbl.create 256 in
-  List.iteri (fun i c -> Hashtbl.replace inst_index c.cell_id i) prims;
-  let instance_of c =
-    match Cell.prim_of c with
-    | None -> assert false
-    | Some prim ->
-      let conns =
-        List.concat_map
-          (fun b ->
-             let w = b.actual in
-             let wide = Array.length w.nets > 1 in
-             Array.to_list w.nets
-             |> List.mapi (fun i n ->
-               { conn_port =
-                   (if wide then Printf.sprintf "%s[%d]" b.formal i else b.formal);
-                 conn_dir = b.dir;
-                 conn_net = Hashtbl.find net_index n.net_id }))
-          (Cell.port_bindings c)
-      in
-      { inst_name = relative_path root c;
-        inst_lib_cell = Prim.name prim;
-        inst_prim = prim;
-        inst_conns = conns;
-        inst_attrs =
-          prim_attributes prim
-          @ (match Cell.rloc c with
-             | Some (r, col) ->
-               [ { attr_name = "RLOC"; attr_value = Printf.sprintf "R%dC%d" r col } ]
-             | None -> [])
-          @ List.map
-              (fun (k, v) -> { attr_name = k; attr_value = v })
-              (Cell.properties c) }
-  in
-  let instances = Array.of_list (List.map instance_of prims) in
+  let next = ref !n_kept in
   let nets =
     Array.of_list
-      (List.mapi
-         (fun i n ->
-            { net_name = net_base_name root n;
-              net_index = i;
+      (List.rev_map
+         (fun (n, name) ->
+            decr next;
+            { net_name = name;
+              net_index = !next;
               driver_instance =
-                Option.bind n.driver (fun t ->
-                  Hashtbl.find_opt inst_index t.term_cell.cell_id);
+                (match n.driver with
+                 | Some t -> Ids.find_opt inst_index t.term_cell.cell_id
+                 | None -> None);
               sink_count = List.length n.sinks })
-         kept_nets)
+         !kept)
   in
   let ports =
     List.map
@@ -146,7 +181,7 @@ let of_design d =
            p_width = Wire.width p.Design.port_wire;
            p_nets =
              Array.map
-               (fun n -> Hashtbl.find net_index n.net_id)
+               (fun n -> Ids.find net_index n.net_id)
                (Wire.nets p.Design.port_wire) })
       (Design.ports d)
   in

@@ -41,108 +41,120 @@ let add_pairs buffer pairs =
        add_string buffer (Bits.to_string value))
     pairs
 
+let encode_into buffer message =
+  match message with
+  | Set_inputs pairs ->
+    Buffer.add_char buffer 'I';
+    add_pairs buffer pairs
+  | Cycle n ->
+    Buffer.add_char buffer 'C';
+    add_u32 buffer n
+  | Reset -> Buffer.add_char buffer 'R'
+  | Get_outputs names ->
+    Buffer.add_char buffer 'G';
+    add_u16 buffer (List.length names);
+    List.iter (add_string buffer) names
+  | Outputs_are pairs ->
+    Buffer.add_char buffer 'O';
+    add_pairs buffer pairs
+  | Ack -> Buffer.add_char buffer 'A'
+  | Protocol_error text ->
+    Buffer.add_char buffer 'E';
+    add_string buffer text
+  | Hello session_id ->
+    Buffer.add_char buffer 'H';
+    add_string buffer session_id
+  | Resume (session_id, last_acked) ->
+    Buffer.add_char buffer 'U';
+    add_string buffer session_id;
+    add_u32 buffer (last_acked + 1)
+  | Session_state last_applied ->
+    Buffer.add_char buffer 'S';
+    add_u32 buffer (last_applied + 1)
+  | Heartbeat -> Buffer.add_char buffer 'B'
+  | Checkpoint -> Buffer.add_char buffer 'K'
+
 let encode message =
   let buffer = Buffer.create 64 in
-  (match message with
-   | Set_inputs pairs ->
-     Buffer.add_char buffer 'I';
-     add_pairs buffer pairs
-   | Cycle n ->
-     Buffer.add_char buffer 'C';
-     add_u32 buffer n
-   | Reset -> Buffer.add_char buffer 'R'
-   | Get_outputs names ->
-     Buffer.add_char buffer 'G';
-     add_u16 buffer (List.length names);
-     List.iter (add_string buffer) names
-   | Outputs_are pairs ->
-     Buffer.add_char buffer 'O';
-     add_pairs buffer pairs
-   | Ack -> Buffer.add_char buffer 'A'
-   | Protocol_error text ->
-     Buffer.add_char buffer 'E';
-     add_string buffer text
-   | Hello session_id ->
-     Buffer.add_char buffer 'H';
-     add_string buffer session_id
-   | Resume (session_id, last_acked) ->
-     Buffer.add_char buffer 'U';
-     add_string buffer session_id;
-     add_u32 buffer (last_acked + 1)
-   | Session_state last_applied ->
-     Buffer.add_char buffer 'S';
-     add_u32 buffer (last_applied + 1)
-   | Heartbeat -> Buffer.add_char buffer 'B'
-   | Checkpoint -> Buffer.add_char buffer 'K');
+  encode_into buffer message;
   Buffer.contents buffer
 
 let size message = String.length (encode message)
 
 exception Malformed of string
 
-let decode s =
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= String.length s then raise (Malformed "truncated");
-    let c = s.[!pos] in
-    incr pos;
-    Char.code c
-  in
-  let u16 () =
-    let hi = byte () in
-    (hi lsl 8) lor byte ()
-  in
-  let u32 () =
-    let hi = u16 () in
-    (hi lsl 16) lor u16 ()
-  in
-  let str () =
-    let len = u16 () in
-    if !pos + len > String.length s then raise (Malformed "truncated string");
-    let r = String.sub s !pos len in
-    pos := !pos + len;
-    r
-  in
-  let bits () =
-    let text = str () in
-    match Bits.of_string text with
-    | v -> v
-    | exception Invalid_argument _ -> raise (Malformed "bad bit string")
-  in
-  let pairs () =
-    let n = u16 () in
-    List.init n (fun _ ->
-      let name = str () in
-      let value = bits () in
-      (name, value))
-  in
+(* a read position in a frame; a read past its end raises [Malformed],
+   which [decode_from] turns into [Error] *)
+type cursor = {
+  s : string;
+  mutable pos : int;
+}
+
+let byte c =
+  if c.pos >= String.length c.s then raise (Malformed "truncated");
+  let v = Char.code c.s.[c.pos] in
+  c.pos <- c.pos + 1;
+  v
+
+let u16 c =
+  let hi = byte c in
+  (hi lsl 8) lor byte c
+
+let u32 c =
+  let hi = u16 c in
+  (hi lsl 16) lor u16 c
+
+let str c =
+  let len = u16 c in
+  if c.pos + len > String.length c.s then raise (Malformed "truncated string");
+  let r = String.sub c.s c.pos len in
+  c.pos <- c.pos + len;
+  r
+
+let bits c =
+  match Bits.of_string (str c) with
+  | v -> v
+  | exception Invalid_argument _ -> raise (Malformed "bad bit string")
+
+let pairs c =
+  let n = u16 c in
+  List.init n (fun _ ->
+    let name = str c in
+    let value = bits c in
+    (name, value))
+
+(* the message encoded in [s] from [start] to its end *)
+let decode_from s start =
+  let c = { s; pos = start } in
   match
-    let tag = byte () in
+    let tag = byte c in
     let message =
       match Char.chr tag with
-      | 'I' -> Set_inputs (pairs ())
-      | 'C' -> Cycle (u32 ())
+      | 'I' -> Set_inputs (pairs c)
+      | 'C' -> Cycle (u32 c)
       | 'R' -> Reset
       | 'G' ->
-        let n = u16 () in
-        Get_outputs (List.init n (fun _ -> str ()))
-      | 'O' -> Outputs_are (pairs ())
+        let n = u16 c in
+        Get_outputs (List.init n (fun _ -> str c))
+      | 'O' -> Outputs_are (pairs c)
       | 'A' -> Ack
-      | 'E' -> Protocol_error (str ())
-      | 'H' -> Hello (str ())
+      | 'E' -> Protocol_error (str c)
+      | 'H' -> Hello (str c)
       | 'U' ->
-        let session_id = str () in
-        Resume (session_id, u32 () - 1)
-      | 'S' -> Session_state (u32 () - 1)
+        let session_id = str c in
+        Resume (session_id, u32 c - 1)
+      | 'S' -> Session_state (u32 c - 1)
       | 'B' -> Heartbeat
       | 'K' -> Checkpoint
-      | c -> raise (Malformed (Printf.sprintf "unknown tag %C" c))
+      | other -> raise (Malformed (Printf.sprintf "unknown tag %C" other))
     in
-    if !pos <> String.length s then raise (Malformed "trailing bytes");
+    if c.pos <> String.length s then raise (Malformed "trailing bytes");
     message
   with
   | message -> Ok message
   | exception Malformed reason -> Error reason
+
+let decode s = decode_from s 0
 
 (* CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF): detects every
    single-byte error, unlike Fletcher/Adler whose 0x00/0xFF classes
@@ -158,34 +170,37 @@ type packet = {
 let max_seq = 0xFFFF
 
 (* Frame: 2-byte big-endian sequence number, 2-byte CRC over the
-   sequence bytes plus the encoded message, then the message itself. *)
+   sequence bytes plus the encoded message, then the message itself.
+   The CRC runs over the frame in place, around its own two bytes. *)
+let frame_checksum frame =
+  Jhdl_logic.Crc16.update
+    (Jhdl_logic.Crc16.update 0xFFFF frame 0 2)
+    frame 4 (String.length frame - 4)
+
 let encode_packet ~seq payload =
   if seq < 0 || seq > max_seq then
     invalid_arg (Printf.sprintf "Protocol.encode_packet: seq %d out of range" seq);
-  let body = encode payload in
-  let buffer = Buffer.create (String.length body + 4) in
+  let buffer = Buffer.create 64 in
   add_u16 buffer seq;
-  add_u16 buffer (checksum (Buffer.contents buffer ^ body));
-  Buffer.add_string buffer body;
-  Buffer.contents buffer
+  add_u16 buffer 0 (* the CRC's place *);
+  encode_into buffer payload;
+  let frame = Buffer.to_bytes buffer in
+  Bytes.set_uint16_be frame 2 (frame_checksum (Bytes.unsafe_to_string frame));
+  Bytes.unsafe_to_string frame
 
 let packet_size packet = 4 + size packet.payload
 
 let decode_packet s =
   if String.length s < 4 then Error "packet too short"
   else begin
-    let u16 i = (Char.code s.[i] lsl 8) lor Char.code s.[i + 1] in
-    let seq = u16 0 in
-    let claimed = u16 2 in
-    let body = String.sub s 4 (String.length s - 4) in
-    let actual = checksum (String.sub s 0 2 ^ body) in
+    let claimed = String.get_uint16_be s 2 and actual = frame_checksum s in
     if claimed <> actual then
       Error
         (Printf.sprintf "checksum mismatch (claimed %04X, computed %04X)"
            claimed actual)
     else
-      match decode body with
-      | Ok payload -> Ok { seq; payload }
+      match decode_from s 4 with
+      | Ok payload -> Ok { seq = String.get_uint16_be s 0; payload }
       | Error reason -> Error reason
   end
 

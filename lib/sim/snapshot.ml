@@ -24,6 +24,7 @@
 module Bits = Jhdl_logic.Bits
 module Bit = Jhdl_logic.Bit
 module Lut_init = Jhdl_logic.Lut_init
+module Hex = Jhdl_logic.Hex
 module Prim = Jhdl_circuit.Prim
 module Cell = Jhdl_circuit.Cell
 module Wire = Jhdl_circuit.Wire
@@ -75,22 +76,43 @@ let fnv1a64 s =
     s;
   !h
 
+let add_hex b n = Buffer.add_string b (Hex.lower ~width:1 n)
+
 (* [Prim.name] alone would collide distinct parameterizations (it drops
    INIT values), so the descriptor spells them out. *)
-let describe_prim = function
+let add_prim b = function
   | Prim.Lut init ->
-    Printf.sprintf "LUT%d=%x" (Lut_init.inputs init) (Lut_init.to_int init)
+    Buffer.add_string b "LUT";
+    Buffer.add_string b (string_of_int (Lut_init.inputs init));
+    Buffer.add_char b '=';
+    add_hex b (Lut_init.to_int init)
   | Prim.Ff { clock_enable; async_clear; sync_reset; init } ->
-    Printf.sprintf "FF:%b:%b:%b:%d" clock_enable async_clear sync_reset
-      (Bit.to_code init)
-  | Prim.Srl16 { init } -> Printf.sprintf "SRL16=%x" init
-  | Prim.Ram16x1 { init } -> Printf.sprintf "RAM16X1=%x" init
-  | Prim.Black_box { model_name; _ } -> "BB:" ^ model_name
-  | p -> Prim.name p
+    Buffer.add_string b "FF:";
+    Buffer.add_string b (string_of_bool clock_enable);
+    Buffer.add_char b ':';
+    Buffer.add_string b (string_of_bool async_clear);
+    Buffer.add_char b ':';
+    Buffer.add_string b (string_of_bool sync_reset);
+    Buffer.add_char b ':';
+    Buffer.add_string b (string_of_int (Bit.to_code init))
+  | Prim.Srl16 { init } ->
+    Buffer.add_string b "SRL16=";
+    add_hex b init
+  | Prim.Ram16x1 { init } ->
+    Buffer.add_string b "RAM16X1=";
+    add_hex b init
+  | Prim.Black_box { model_name; _ } ->
+    Buffer.add_string b "BB:";
+    Buffer.add_string b model_name
+  | p -> Buffer.add_string b (Prim.name p)
 
+(* The net count, then one walk over the hierarchy carrying each cell's
+   path below the root, spelling out every primitive under its
+   instance path. *)
 let descriptor design =
   let b = Buffer.create 1024 in
-  Buffer.add_string b (Design.name design);
+  let root_name = Design.name design in
+  Buffer.add_string b root_name;
   List.iter
     (fun p ->
        Buffer.add_char b '|';
@@ -102,17 +124,19 @@ let descriptor design =
        Buffer.add_string b (string_of_int (Wire.width p.Design.port_wire)))
     (Design.ports design);
   Buffer.add_char b '#';
-  Buffer.add_string b (string_of_int (List.length (Design.all_nets design)));
-  List.iter
-    (fun inst ->
-       match Cell.prim_of inst with
+  Buffer.add_string b (string_of_int (Design.net_count design));
+  Cell.iter_paths
+    (fun c path ->
+       match Cell.prim_of c with
        | None -> ()
        | Some prim ->
          Buffer.add_char b '|';
-         Buffer.add_string b (Cell.path inst);
+         Buffer.add_string b root_name;
+         Buffer.add_char b '/';
+         Buffer.add_string b path;
          Buffer.add_char b '=';
-         Buffer.add_string b (describe_prim prim))
-    (Design.all_prims design);
+         add_prim b prim)
+    (Design.root design);
   Buffer.contents b
 
 let signature design = fnv1a32 (descriptor design)

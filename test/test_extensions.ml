@@ -116,6 +116,30 @@ let test_edif_reader_sexp () =
   | Ok _ -> Alcotest.fail "wrong shape"
   | Error m -> Alcotest.fail m
 
+(* A megabyte of open parentheses is refused at the list past the
+   limit, with a message naming it, before the parser has allocated
+   more than the lists it holds open. *)
+let test_edif_reader_bounds_nesting () =
+  let deep = String.make 1_000_000 '(' in
+  let before = Gc.minor_words () in
+  let result = Edif_reader.parse deep in
+  let words = Gc.minor_words () -. before in
+  (match result with
+   | Ok _ -> Alcotest.fail "a megabyte of ( parsed"
+   | Error message ->
+     Alcotest.(check string) "depth error"
+       (Printf.sprintf "lists nested deeper than %d at offset %d"
+          Edif_reader.max_depth Edif_reader.max_depth)
+       message);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for the refusal" words)
+    true (words < 100_000.);
+  let nested k = String.make k '(' ^ "x" ^ String.make k ')' in
+  Alcotest.(check bool) "max_depth levels parse" true
+    (Result.is_ok (Edif_reader.parse (nested Edif_reader.max_depth)));
+  Alcotest.(check bool) "one more is refused" true
+    (Result.is_error (Edif_reader.parse (nested (Edif_reader.max_depth + 1))))
+
 (* property: writer/reader agree on instance count for random small designs *)
 let prop_edif_roundtrip_counts =
   QCheck.Test.make ~name:"edif parse-back preserves instance count" ~count:40
@@ -425,6 +449,8 @@ let suite =
     Alcotest.test_case "edif reader rejects garbage" `Quick
       test_edif_reader_rejects_garbage;
     Alcotest.test_case "edif reader sexp" `Quick test_edif_reader_sexp;
+    Alcotest.test_case "edif reader bounds nesting" `Quick
+      test_edif_reader_bounds_nesting;
     Alcotest.test_case "tb parse" `Quick test_tb_parse;
     Alcotest.test_case "tb run against black box" `Quick
       test_tb_run_against_blackbox;

@@ -3,6 +3,7 @@
 module Bit = Jhdl_logic.Bit
 module Bits = Jhdl_logic.Bits
 module Lut_init = Jhdl_logic.Lut_init
+module Hex = Jhdl_logic.Hex
 
 let bit = Alcotest.testable Bit.pp Bit.equal
 let bits = Alcotest.testable Bits.pp Bits.equal
@@ -293,6 +294,24 @@ let prop_lut_eval_matches_function =
        in
        Bit.equal (Lut_init.eval t addr_bits) (Bit.of_bool (Lut_init.eval_int t addr)))
 
+(* zero at width 0 still prints one digit; negative values read as
+   unsigned 63-bit *)
+let test_hex_edges () =
+  List.iter
+    (fun (n, width) ->
+       let name = Printf.sprintf "%d at width %d" n width in
+       Alcotest.(check string) name (Printf.sprintf "%0*X" width n) (Hex.upper ~width n);
+       Alcotest.(check string) name (Printf.sprintf "%0*x" width n) (Hex.lower ~width n))
+    [ (0, 0); (0, 1); (0, 4); (15, 0); (16, 1); (0x10, 4); (0xCAFE, 4);
+      (0x12345, 4); (-1, 0); (-1, 20); (min_int, 1); (max_int, 0) ]
+
+let prop_hex_matches_printf =
+  QCheck.Test.make ~name:"hex digits match printf" ~count:1000
+    QCheck.(pair (oneof [ int; int_bound 0xFFFF; int_range (-16) 16 ]) (int_bound 20))
+    (fun (n, width) ->
+       Hex.upper ~width n = Printf.sprintf "%0*X" width n
+       && Hex.lower ~width n = Printf.sprintf "%0*x" width n)
+
 (* {1 Packed plane view} *)
 
 let test_planes_roundtrip () =
@@ -361,6 +380,7 @@ let suite =
     Alcotest.test_case "lut hex roundtrip" `Quick test_lut_hex_roundtrip;
     Alcotest.test_case "lut passthrough" `Quick test_lut_passthrough;
     Alcotest.test_case "lut bad inputs" `Quick test_lut_bad_inputs;
+    Alcotest.test_case "hex digits at the edges" `Quick test_hex_edges;
     Alcotest.test_case "plane view roundtrip" `Quick test_planes_roundtrip;
     Alcotest.test_case "plane view bounds" `Quick test_planes_bounds ]
   @ List.map QCheck_alcotest.to_alcotest
@@ -374,4 +394,5 @@ let suite =
         prop_shift_left_multiplies;
         prop_slice_concat_roundtrip;
         prop_lut_eval_matches_function;
+        prop_hex_matches_printf;
         prop_planes_roundtrip ]

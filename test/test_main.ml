@@ -6,6 +6,7 @@ let () =
       ("sim", Test_sim.suite);
       ("snapshot", Test_snapshot.suite);
       ("netlist", Test_netlist.suite);
+      ("golden", Test_golden.suite);
       ("estimate", Test_estimate.suite);
       ("modgen", Test_modgen.suite);
       ("cordic", Test_cordic.suite);

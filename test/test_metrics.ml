@@ -174,6 +174,17 @@ let prop_crc16_sliced_every_length =
             Jhdl_logic.Crc16.checksum_sub s pos len = crc16_bitwise s pos len)
          (List.init 41 Fun.id))
 
+(* a checksum continued over a second range equals the checksum of
+   the two ranges laid end to end *)
+let prop_crc16_update_continues =
+  QCheck.Test.make ~count:300 ~name:"crc16 update continues a checksum"
+    QCheck.(pair string small_nat)
+    (fun (s, cut) ->
+       let n = String.length s in
+       let cut = cut mod (n + 1) in
+       let open Jhdl_logic.Crc16 in
+       update (update 0xFFFF s 0 cut) s cut (n - cut) = checksum s)
+
 let suite =
   [ Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "gauge" `Quick test_gauge;
@@ -187,4 +198,5 @@ let suite =
     Alcotest.test_case "trace text" `Quick test_trace_text;
     Alcotest.test_case "crc16 known answers" `Quick test_crc16_known_answers;
     QCheck_alcotest.to_alcotest prop_crc16_table_matches_bitwise;
-    QCheck_alcotest.to_alcotest prop_crc16_sliced_every_length ]
+    QCheck_alcotest.to_alcotest prop_crc16_sliced_every_length;
+    QCheck_alcotest.to_alcotest prop_crc16_update_continues ]
